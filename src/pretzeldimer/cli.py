@@ -13,11 +13,12 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage or parse
 error, 3 domain refusal (a link where a knot is required).
 
 ``--extend`` grows the object before evaluation and may be repeated; moves
-apply left to right.  Worker count for big expansions comes from the
-``PRETZELDIMER_WORKERS`` environment variable.
+apply left to right.
 """
 import argparse
+import functools
 import json
+import re
 import sys
 
 from .activities import tree_words
@@ -257,6 +258,7 @@ def cmd_khovanov(spec, args):
 # ---------------------------------------------------------------------------
 # wiring
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="pretzeldimer",
@@ -318,7 +320,16 @@ def _build_parser():
     return p
 
 
+#: a bare spec with a leading minus, such as -2,3,7
+_NEGATIVE_SPEC = re.compile(r"-\d")
+
+
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse reads a leading "-" as an option; a leading space keeps the
+    # spec positional, and parse_spec strips it again
+    argv = [" " + a if _NEGATIVE_SPEC.match(a) else a for a in argv]
     args = _build_parser().parse_args(argv)
     try:
         spec = parse_spec(args.spec)

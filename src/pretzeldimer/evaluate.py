@@ -20,7 +20,7 @@ from .matrix import (
     det_value,
     enhance,
     expand,
-    perm_value,
+    kasteleyn_perm,
     sign_matrix,
 )
 from .taitgraphs import build_overlay, region_name, solve_kasteleyn
@@ -82,16 +82,16 @@ def pipeline_matrix(spec, signed=True, enhanced=True):
     return m
 
 
-def bracket(spec, workers=None):
+def bracket(spec):
     """Kauffman bracket of the standard diagram (knots and links alike).
 
-    Permanent route: no Kasteleyn signs, no writhe factor, no sign slack.
+    Permanent route, as eps * det of the signed matrix: no writhe factor
+    and no sign slack.
     """
-    m = pipeline_matrix(spec, signed=False, enhanced=False)
-    return perm_value(m, JONES_TABLE, workers=workers)
+    return kasteleyn_perm(pipeline_matrix(spec, enhanced=False), JONES_TABLE)
 
 
-def jones_in_A_raw(spec, workers=None):
+def jones_in_A_raw(spec):
     """Signed enhanced determinant evaluated over Table 1 (in A).
 
     This is the Jones polynomial up to the global Kasteleyn sign; returns
@@ -105,29 +105,29 @@ def jones_in_A_raw(spec, workers=None):
             "Jones route needs a knot; P%r has %d components (use the "
             "bracket instead)" % (spec, t.components))
     m = pipeline_matrix(spec)
-    val = det_value(m, JONES_TABLE, workers=workers)
+    val = det_value(m, JONES_TABLE)
     at1 = val.at_one()
     if at1 not in (1, -1):
         raise RuntimeError("determinant is not a unit at A=1: %s" % at1)
     return val, at1 == -1
 
 
-def jones_in_A(spec, workers=None):
+def jones_in_A(spec):
     """Jones polynomial in the Kauffman variable A, sign-normalized.
 
     A knot's Jones polynomial evaluates to 1 at t=1 (A=1), which fixes the
     global sign left over from the Kasteleyn choice.
     """
-    val, flipped = jones_in_A_raw(spec, workers=workers)
+    val, flipped = jones_in_A_raw(spec)
     return -val if flipped else val
 
 
-def jones(spec, workers=None):
+def jones(spec):
     """Jones polynomial in t (A = t^(-1/4))."""
-    return jones_in_A(spec, workers=workers).reexpress(-4)
+    return jones_in_A(spec).reexpress(-4)
 
 
-def khovanov_poincare(spec, workers=None):
+def khovanov_poincare(spec):
     """Bigraded Poincare polynomial in (u, v); knots only.
 
     All-positive form: each coefficient counts the spanning trees of that
@@ -137,8 +137,8 @@ def khovanov_poincare(spec, workers=None):
     d = build_diagram(spec)
     if trace(d).components != 1:
         raise ValueError("Poincare polynomial route needs a knot")
-    m = pipeline_matrix(spec, signed=False, enhanced=False)
-    return perm_value(m, KHOVANOV_TABLE, workers=workers)
+    return kasteleyn_perm(pipeline_matrix(spec, enhanced=False),
+                          KHOVANOV_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +234,20 @@ def stencil_word_pairs(m, report):
 # ---------------------------------------------------------------------------
 # JSON bundle
 
-def invariant_bundle(spec, workers=None):
+def invariant_bundle(spec):
     """Machine-readable invariants; link-undefined fields are null."""
     spec = tuple(spec)
     knot = trace(build_diagram(spec)).components == 1
     out = {
         "spec": list(spec),
-        "bracket_A": bracket(spec, workers=workers).to_pairs(),
+        "bracket_A": bracket(spec).to_pairs(),
         "jones": None,
         "khovanov_uv": None,
         "differentials": None,
     }
     if knot:
-        out["jones"] = jones(spec, workers=workers).to_pairs()
-        out["khovanov_uv"] = khovanov_poincare(spec, workers=workers).to_pairs()
+        out["jones"] = jones(spec).to_pairs()
+        out["khovanov_uv"] = khovanov_poincare(spec).to_pairs()
         m = pipeline_matrix(spec, signed=False, enhanced=False)
         out["differentials"] = [r.to_json() for r in scan_differentials(m)]
     return out

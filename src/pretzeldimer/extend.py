@@ -30,7 +30,7 @@ from .activities import split_token, token
 from .diagram import Crossing, Diagram, build_diagram, trace
 from .evaluate import JONES_TABLE
 from .matrix import (ActivityMatrix, Column, Entry, build_block_matrix,
-                     det_value, enhance, perm_value, sign_matrix)
+                     det_value, enhance, kasteleyn_perm, sign_matrix)
 from .taitgraphs import build_overlay, solve_kasteleyn
 
 
@@ -279,12 +279,12 @@ def apply_moves(state, names):
 # ---------------------------------------------------------------------------
 # evaluating a grown state
 
-def state_bracket(state, workers=None):
+def state_bracket(state):
     """Kauffman bracket via the permanent; works for links too."""
-    return perm_value(state.matrix, JONES_TABLE, workers=workers)
+    return kasteleyn_perm(state.matrix, JONES_TABLE)
 
 
-def state_jones_raw(state, workers=None):
+def state_jones_raw(state):
     """Signed enhanced determinant of a grown knot state, plus flip flag.
 
     Re-traces the surgered diagram for the writhe, so the correction is
@@ -295,19 +295,19 @@ def state_jones_raw(state, workers=None):
         raise ValueError("Jones route needs a knot; this state traces "
                          "%d components" % t.components)
     m = enhance(state.matrix, state.diagram)
-    val = det_value(m, JONES_TABLE, workers=workers)
+    val = det_value(m, JONES_TABLE)
     at1 = val.at_one()
     if at1 not in (1, -1):
         raise RuntimeError("determinant is not a unit at A=1: %s" % at1)
     return val, at1 == -1
 
 
-def state_jones_in_A(state, workers=None):
+def state_jones_in_A(state):
     """Sign-normalized Jones polynomial (in A) of a grown knot state."""
-    val, flipped = state_jones_raw(state, workers=workers)
+    val, flipped = state_jones_raw(state)
     return -val if flipped else val
 
 
-def state_jones(state, workers=None):
+def state_jones(state):
     """Jones polynomial in t of a grown knot state."""
-    return state_jones_in_A(state, workers=workers).reexpress(-4)
+    return state_jones_in_A(state).reexpress(-4)

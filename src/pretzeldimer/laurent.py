@@ -21,6 +21,13 @@ def _super(mapping, other):
     return out
 
 
+def _wrap(cls, coeffs):
+    # arithmetic results are already normalised: int keys, no zero values
+    out = object.__new__(cls)
+    out.coeffs = coeffs
+    return out
+
+
 class Laurent:
     """A Laurent polynomial in one variable with integer coefficients.
 
@@ -64,10 +71,10 @@ class Laurent:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        return Laurent(_super(self.coeffs, other.coeffs))
+        return _wrap(Laurent, _super(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return Laurent({e: -c for e, c in self.coeffs.items()})
+        return _wrap(Laurent, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -82,7 +89,7 @@ class Laurent:
                     out[e] = c
                 else:
                     del out[e]
-        return Laurent(out)
+        return _wrap(Laurent, out)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -103,6 +110,51 @@ class Laurent:
             base = base * base
             n >>= 1
         return result
+
+    def exact_div(self, other):
+        """The quotient self / other, which must lie in Z[X^+-1].
+
+        Long division from the top exponent down; a remainder, or a
+        coefficient the divisor's leading coefficient does not divide,
+        raises ValueError.  Fraction-free elimination relies on every one of
+        its divisions being exact, so a remainder means a wrong pivot.
+        """
+        if not other.coeffs:
+            raise ZeroDivisionError("Laurent division by zero")
+        if not self.coeffs:
+            return Laurent()
+        den = other.coeffs
+        if len(den) == 1:
+            (e0, c0), = den.items()
+            out = {}
+            for e, c in self.coeffs.items():
+                q, r = divmod(c, c0)
+                if r:
+                    raise ValueError("inexact Laurent division")
+                out[e - e0] = q
+            return _wrap(Laurent, out)
+        top, low = max(den), min(den)
+        lead = den[top]
+        rem = dict(self.coeffs)
+        out = {}
+        for e in range(max(rem) - top, min(rem) - low - 1, -1):
+            c = rem.get(e + top)
+            if not c:
+                continue
+            q, r = divmod(c, lead)
+            if r:
+                raise ValueError("inexact Laurent division")
+            out[e] = q
+            for ed, cd in den.items():
+                k = e + ed
+                v = rem.get(k, 0) - q * cd
+                if v:
+                    rem[k] = v
+                else:
+                    rem.pop(k, None)
+        if rem:
+            raise ValueError("inexact Laurent division")
+        return _wrap(Laurent, out)
 
     def __eq__(self, other):
         return isinstance(other, Laurent) and self.coeffs == other.coeffs
@@ -211,10 +263,10 @@ class Laurent2:
         return cls({(0, 0): 1})
 
     def __add__(self, other):
-        return Laurent2(_super(self.coeffs, other.coeffs))
+        return _wrap(Laurent2, _super(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return Laurent2({k: -c for k, c in self.coeffs.items()})
+        return _wrap(Laurent2, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -229,7 +281,7 @@ class Laurent2:
                     out[k] = c
                 else:
                     del out[k]
-        return Laurent2(out)
+        return _wrap(Laurent2, out)
 
     def __eq__(self, other):
         return isinstance(other, Laurent2) and self.coeffs == other.coeffs

@@ -13,6 +13,12 @@ determinant/permanent route agree with the tree expansion.  Two optional
 decorations: Kasteleyn signs (det = +-perm afterwards) and per-row writhe
 weights (multiplying the evaluation by (-A^-3)^writhe).
 
+The invariants never expand: det_value eliminates (fraction-free, exact
+over Z[A^+-1]) and kasteleyn_perm reads the permanent off the signed
+determinant.  expand and perm_value enumerate every term, which grows
+exponentially with the number of twist columns; they serve word-level
+questions and are the slow route elimination is checked against.
+
 The row order matters: clean activity words come from the standard
 numbering.  A documented counterexample — reversing the labels of
 P(-2,3,3), i.e. ranks {1:8, 2:7, ..., 8:1} — makes the signed determinant
@@ -23,16 +29,12 @@ mapping so that this can be demonstrated.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .activities import split_token, token
 from .diagram import trace
-from .laurent import Laurent
+from .laurent import Laurent, Laurent2
 from .taitgraphs import BOT, bigon, region_name, strip
-
-WORKERS_ENV = "PRETZELDIMER_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -231,14 +233,15 @@ def _parity(cols):
     return -1 if inv & 1 else 1
 
 
-def _expand_range(m, first_choices):
+def _all_terms(m):
     cands = _row_candidates(m)
+    n = m.n
     used = set()
     pick = []
     terms = []
 
     def rec(ri):
-        if ri == m.n:
+        if ri == n:
             cols = tuple(ci for ci, _ in pick)
             terms.append(Term(
                 cols=cols,
@@ -255,12 +258,7 @@ def _expand_range(m, first_choices):
                 pick.pop()
                 used.remove(ci)
 
-    for ci, e in first_choices:
-        used.add(ci)
-        pick.append((ci, e))
-        rec(1)
-        pick.pop()
-        used.remove(ci)
+    rec(0)
     return terms
 
 
@@ -271,32 +269,16 @@ def _prod_signs(pick):
     return s
 
 
-def _shard_worker(args):
-    m, choice = args
-    return _expand_range(m, [choice])
-
-
-def expand(m, workers=None, check_duplicates=True):
+def expand(m, check_duplicates=True):
     """All nonzero permutation terms, in deterministic row-major order.
 
     Rows are processed top to bottom, candidate columns in ascending index
-    order (so sharding by the first row's choice preserves the order).
-    workers > 1 splits the first-row branches over processes; default comes
-    from the PRETZELDIMER_WORKERS environment variable, else sequential.
+    order.  The slow route (see the module docstring); the invariants come
+    from det_value.
     """
     if m.n == 0:
         return []
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    first = _row_candidates(m)[0]
-    if workers > 1 and len(first) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_shard_worker,
-                                   [(m, choice) for choice in first]))
-        terms = [t for chunk in chunks for t in chunk]
-    else:
-        terms = _expand_range(m, first)
-
+    terms = _all_terms(m)
     if check_duplicates:
         seen = {}
         for t in terms:
@@ -307,8 +289,8 @@ def expand(m, workers=None, check_duplicates=True):
     return terms
 
 
-def word_multiset(m, workers=None):
-    return sorted(t.word for t in expand(m, workers=workers))
+def word_multiset(m):
+    return sorted(t.word for t in expand(m))
 
 
 def _writhe_factor(m):
@@ -316,34 +298,192 @@ def _writhe_factor(m):
     return Laurent.term(-1, -3) ** w
 
 
-def _evaluate(m, table, mode, workers=None, check_duplicates=True):
+def _ring(m, table):
     ring = type(next(iter(table.values())))
+    if m.enhanced and ring is not Laurent:
+        raise ValueError("writhe weights only make sense for Laurent tables")
+    return ring
+
+
+def perm_value(m, table):
+    """Permanent by term expansion, evaluated over a letter table.
+
+    The independent slow route; kasteleyn_perm gives the same value by
+    elimination.
+    """
+    ring = _ring(m, table)
     total = ring.zero()
-    for t in expand(m, workers=workers, check_duplicates=check_duplicates):
+    for t in expand(m):
         poly = ring.one()
         for tok in t.word:
             poly = poly * table[tok]
-        coeff = 1
-        if mode == "det":
-            coeff = t.parity * (t.ksign if m.signed else 1)
-        if coeff != 1:
-            poly = poly * ring.term(coeff)
         total = total + poly
     if m.enhanced:
-        if ring is not Laurent:
-            raise ValueError("writhe weights only make sense for Laurent tables")
         total = total * _writhe_factor(m)
     return total
 
 
-def det_value(m, table, workers=None, check_duplicates=True):
-    """Signed expansion evaluated over a letter table."""
-    return _evaluate(m, table, "det", workers, check_duplicates)
+def _bareiss(rows, n):
+    """Determinant of a sparse n x n matrix over Z[A^+-1].
+
+    rows[i] maps column -> nonzero Laurent entry; the rows are consumed.
+    Fraction-free elimination (Bareiss 1968): step k pivots column k on
+    the candidate row with the shortest entry, and updates every later row
+    as a[i][j] <- (p_k a[i][j] - a[i][k] a[k][j]) / p_(k-1), each division
+    exact.  A row with nothing in column k only gets scaled by p_k/p_(k-1),
+    so it is left alone and brought up to date lazily, in one exact
+    division, the next time it is touched.
+    """
+    order = list(range(n))        # row at each position; k.. still active
+    stamp = [0] * n               # row i is current as of step stamp[i]
+    piv = [Laurent.one()]         # piv[k] = divisor of step k = p_(k-1)
+    sign = 1
+
+    def current(r, k):
+        s = stamp[r]
+        if s != k and piv[s] != piv[k]:
+            num, den = piv[k], piv[s]
+            rows[r] = {j: (a * num).exact_div(den) for j, a in rows[r].items()}
+        stamp[r] = k
+
+    for k in range(n):
+        best = None
+        for pos in range(k, n):
+            r = order[pos]
+            if k in rows[r]:
+                current(r, k)
+                size = len(rows[r][k].coeffs)
+                if best is None or size < best[0]:
+                    best = (size, pos)
+        if best is None:
+            return Laurent.zero()
+        pos = best[1]
+        if pos != k:
+            order[k], order[pos] = order[pos], order[k]
+            sign = -sign
+        prow = rows[order[k]]
+        p = prow.pop(k)
+        prev = piv[k]
+        for r in order[k + 1:]:
+            row = rows[r]
+            a = row.pop(k, None)
+            if a is None:
+                continue
+            new = {}
+            for j in row.keys() | prow.keys():
+                x = row.get(j)
+                y = prow.get(j)
+                v = x * p if x is not None else Laurent.zero()
+                if y is not None:
+                    v = v - a * y
+                if v:
+                    new[j] = v.exact_div(prev)
+            rows[r] = new
+            stamp[r] = k + 1
+        piv.append(p)
+    return piv[n] if sign > 0 else -piv[n]
 
 
-def perm_value(m, table, workers=None, check_duplicates=True):
-    """Permanent (all-plus) expansion evaluated over a letter table."""
-    return _evaluate(m, table, "perm", workers, check_duplicates)
+def _kronecker(table, n):
+    """Laurent2 letter table as one-variable table, plus the decoder.
+
+    (u, v) -> x^(u + B v) with B = 2 U n + 1, where U bounds |u| over the
+    letters: every word of n letters then has |u| <= U n < B / 2, so each
+    monomial of the determinant decodes to exactly one (u, v).
+    """
+    bound = n * max((abs(u) for p in table.values() for u, _ in p.coeffs),
+                    default=0)
+    base = 2 * bound + 1
+    flat = {tok: Laurent({u + base * v: c for (u, v), c in p.coeffs.items()})
+            for tok, p in table.items()}
+
+    def decode(poly):
+        out = {}
+        for e, c in poly.coeffs.items():
+            v = (e + bound) // base
+            out[(e - base * v, v)] = c
+        return Laurent2(out)
+
+    return flat, decode
+
+
+def det_value(m, table):
+    """Determinant of the matrix (signed if m.signed) over a letter table.
+
+    Computed by fraction-free elimination, never by term expansion; with
+    writhe weights (m.enhanced) it is multiplied by (-A^-3)^writhe.
+    Two-variable tables go through a Kronecker substitution.
+    """
+    ring = _ring(m, table)
+    decode = None
+    if ring is Laurent2:
+        table, decode = _kronecker(table, m.n)
+    rows = [{} for _ in range(m.n)]
+    for (ri, ci), e in m.entries.items():
+        val = table[e.tok]
+        if m.signed and e.sign < 0:
+            val = -val
+        rows[ri][ci] = val
+    total = _bareiss(rows, m.n)
+    if decode is not None:
+        return decode(total)
+    if m.enhanced:
+        total = total * _writhe_factor(m)
+    return total
+
+
+def _perfect_matching(m):
+    """Column of each row in one perfect matching (augmenting paths), or None."""
+    adj = [[ci for ci, _ in cands] for cands in _row_candidates(m)]
+    owner = {}                    # column -> matched row
+    col_of = {}                   # row -> matched column
+    for root in range(m.n):
+        parent = {}               # column -> row it was reached from
+        frontier = [root]
+        free = None
+        while frontier and free is None:
+            nxt = []
+            for r in frontier:
+                for c in adj[r]:
+                    if c in parent:
+                        continue
+                    parent[c] = r
+                    if c not in owner:
+                        free = c
+                        break
+                    nxt.append(owner[c])
+                if free is not None:
+                    break
+            frontier = nxt
+        if free is None:
+            return None
+        c = free
+        while c is not None:      # flip the alternating path back to root
+            r = parent[c]
+            prev = col_of.get(r)  # None only at the root
+            owner[c] = r
+            col_of[r] = c
+            c = prev
+    return [col_of[r] for r in range(m.n)]
+
+
+def kasteleyn_perm(m, table):
+    """Permanent of a Kasteleyn-signed matrix as eps * det.
+
+    Kasteleyn (1963): every term of a Kasteleyn-signed determinant carries
+    the same sign eps = parity x product of entry signs, so the permanent
+    is eps times the determinant.  eps is read off one perfect matching.
+    """
+    if not m.signed:
+        raise ValueError("kasteleyn_perm needs a Kasteleyn-signed matrix")
+    cols = _perfect_matching(m)
+    if cols is None:
+        return _ring(m, table).zero()
+    eps = _parity(cols)
+    for ri, ci in enumerate(cols):
+        eps *= m.entries[(ri, ci)].sign
+    total = det_value(m, table)
+    return total if eps > 0 else -total
 
 
 # ---------------------------------------------------------------------------

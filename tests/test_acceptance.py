@@ -251,7 +251,7 @@ def test_criterion_11():
         ranks = {c: 9 - c for c in range(1, 9)}
         m = sign_matrix(build_graph_matrix(ov, ranks), solve_kasteleyn(ov))
         m = enhance(m, build_diagram((-2, 3, 3)))
-        det = det_value(m, JONES_TABLE, check_duplicates=False)
+        det = det_value(m, JONES_TABLE)
         ref = jones_in_A((-2, 3, 3))
         assert det not in (ref, -ref)
         # pinned so the witness stays a concrete, reproducible polynomial

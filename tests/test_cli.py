@@ -82,6 +82,32 @@ def test_parse_error_exits_2(capsys):
         assert code == 2 and err.startswith("error:")
 
 
+def test_bare_leading_negative_spec(capsys):
+    # argparse would read "-2,3,7" as an option; it must parse as a spec
+    for args in ((), ("--json",), ("--bracket",)):
+        assert run(capsys, "jones", "-2,3,7", *args) == \
+            run(capsys, "jones", "P(-2,3,7)", *args)
+    code, out, _ = run(capsys, "jones", "-2,3,7")
+    assert (code, out) == (0, GOLDEN_JONES["P(-2,3,7)"])
+    assert run(capsys, "khovanov", "-2,3,3") == \
+        run(capsys, "khovanov", "P(-2,3,3)")
+    code, _, err = run(capsys, "jones", "-2,0,3")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_consecutive_calls_stay_independent(capsys):
+    # the parser is built once per process; no call may leak into the next
+    plain = run(capsys, "jones", "P(1,1,3)")
+    grown = run(capsys, "jones", "P(1,1,3)", "--extend", "r2:series",
+                "--extend", "r1:bridge", "--raw-sign")
+    assert run(capsys, "jones", "P(1,1,3)") == plain
+    assert run(capsys, "jones", "P(1,1,3)", "--extend", "r2:series",
+               "--extend", "r1:bridge", "--raw-sign") == grown
+    assert plain[0] == grown[0] == 0
+    assert grown[1].splitlines()[0] == plain[1].strip()
+    assert "raw determinant sign" not in plain[1]
+
+
 def test_link_without_bracket_exits_3(capsys):
     code, _, err = run(capsys, "jones", "P(2,2)")
     assert code == 3 and "components" in err

@@ -85,6 +85,33 @@ def test_ring_axioms_random():
         assert Laurent.from_pairs(a.to_pairs()) == a
 
 
+def test_exact_div_inverts_multiplication():
+    rng = random.Random(1968)
+
+    def rand_poly():
+        return Laurent({rng.randint(-6, 6): rng.randint(-5, 5)
+                        for _ in range(rng.randint(1, 5))})
+
+    for _ in range(200):
+        a, b = rand_poly(), rand_poly()
+        if b:
+            assert (a * b).exact_div(b) == a
+    delta = L([[2, -1], [-2, -1]])
+    assert (delta * delta).exact_div(delta) == delta
+    assert Laurent.zero().exact_div(delta) == Laurent.zero()
+
+
+def test_exact_div_refuses_a_remainder():
+    with pytest.raises(ValueError, match="inexact"):
+        L([[0, 1], [1, 1]]).exact_div(L([[0, 1], [1, -1]]))   # (1+A)/(1-A)
+    with pytest.raises(ValueError, match="inexact"):
+        L([[0, 3]]).exact_div(L([[2, 2]]))                     # 3 / 2A^2
+    with pytest.raises(ValueError, match="inexact"):
+        L([[0, 1], [2, 1]]).exact_div(L([[0, 1], [1, 1]]))     # (1+A^2)/(1+A)
+    with pytest.raises(ZeroDivisionError):
+        Laurent.one().exact_div(Laurent.zero())
+
+
 def test_at_one_is_coefficient_sum():
     assert L([[-4, -1], [-3, 1], [-1, 1]]).at_one() == 1
     assert L([[2, -1], [-2, -1]]).at_one() == -2

@@ -11,6 +11,7 @@ from pretzeldimer.matrix import (
     dump_json,
     enhance,
     expand,
+    kasteleyn_perm,
     perm_value,
     pretty,
     sign_matrix,
@@ -187,13 +188,23 @@ def test_det_and_perm_toy_evaluation():
     assert det == Laurent.term(3, 3) or det == Laurent.term(-3, 3)
 
 
-def test_expand_workers_match_sequential(monkeypatch):
-    m = build_block_matrix((-2, 3, 3))
-    seq = expand(m, workers=1)
-    par = expand(m, workers=2)
-    assert par == seq
-    monkeypatch.setenv("PRETZELDIMER_WORKERS", "2")
-    assert expand(m) == seq
+def test_kasteleyn_perm_needs_signed_matrix():
+    m = build_block_matrix((1, 1, 1))
+    with pytest.raises(ValueError, match="Kasteleyn"):
+        kasteleyn_perm(m, {tok: Laurent.term(1, 1) for tok in "LDld"})
+
+
+def test_singular_matrix_has_zero_det_and_perm():
+    # the second column is empty: no perfect matching, no terms
+    m = ActivityMatrix(
+        rows=[1, 2],
+        columns=[Column("internal", BOT), Column("external", strip(1))],
+        entries={(0, 0): Entry("L"), (1, 0): Entry("D")},
+        signed=True,
+    )
+    table = {tok: Laurent.term(1, 1) for tok in "LDld"}
+    assert det_value(m, table) == Laurent.zero()
+    assert kasteleyn_perm(m, table) == perm_value(m, table) == Laurent.zero()
 
 
 def test_graph_matrix_with_reversed_ranks():
