@@ -71,75 +71,61 @@ def spanning_trees(g):
     return results
 
 
-def _tree_adjacency(g, tree):
-    adj = {}
-    for e in tree:
-        u, v = g.endpoints(e)
-        adj.setdefault(u, []).append((v, e))
-        adj.setdefault(v, []).append((u, e))
-    return adj
-
-
-def _component_after_removal(g, tree, drop):
-    """Vertex set of the component of tree - drop containing one endpoint."""
-    u0, _ = g.endpoints(drop)
-    adj = _tree_adjacency(g, tree)
-    seen = {u0}
-    stack = [u0]
-    while stack:
-        x = stack.pop()
-        for y, e in adj.get(x, ()):
-            if e != drop and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _tree_path_edges(g, tree, a, b):
-    adj = _tree_adjacency(g, tree)
-    prev = {a: None}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if x == b:
-            break
-        for y, e in adj.get(x, ()):
-            if y not in prev:
-                prev[y] = (x, e)
-                stack.append(y)
-    path = []
-    x = b
-    while prev[x] is not None:
-        x, e = prev[x]
-        path.append(e)
-    return path
-
-
 def activity_word(g, tree, ranks=None):
     """The activity word of one spanning tree, letters in rank order.
 
     ranks maps edge label -> position; identity by default.  Both the
     letter choices (lowest-in-cut / lowest-in-cycle) and the position of
     each letter in the word follow the given ranking.
+
+    One pass by cut/cycle duality: root the tree once, then walk each
+    non-tree edge f up its tree path to the lowest common ancestor.  f is
+    live iff it ranks lowest on that path plus itself.  The fundamental cut
+    of a tree edge e is e plus the non-tree edges whose path covers e, so e
+    is live iff it ranks no higher than the lowest of those.
     """
     if ranks is None:
         ranks = {e: e for e in g.edges}
-    tree_set = set(tree)
+    edges = g.edges
+    adj = {}
+    for e in tree:
+        x = edges[e]
+        adj.setdefault(x.u, []).append((x.v, e))
+        adj.setdefault(x.v, []).append((x.u, e))
+    root = g.vertices[0]
+    up = {root: None}             # vertex -> (parent vertex, tree edge)
+    depth = {root: 0}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y, e in adj.get(x, ()):
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                up[y] = (x, e)
+                stack.append(y)
+
     letters = {}
-    for e in sorted(g.edges):
-        if e in tree_set:
-            side = _component_after_removal(g, tree, e)
-            cut = [x for x in g.edges
-                   if (g.endpoints(x)[0] in side) != (g.endpoints(x)[1] in side)]
-            live = ranks[e] == min(ranks[x] for x in cut)
-            letter = "L" if live else "D"
-        else:
-            u, v = g.endpoints(e)
-            cycle = _tree_path_edges(g, tree, u, v) + [e]
-            live = ranks[e] == min(ranks[x] for x in cycle)
-            letter = "l" if live else "d"
-        letters[e] = token(letter, g.edges[e].sign < 0)
-    return tuple(letters[e] for e in sorted(g.edges, key=lambda x: ranks[x]))
+    cover = {}                    # tree edge -> lowest rank covering it
+    tree_set = set(tree)
+    for f, x in edges.items():
+        if f in tree_set:
+            continue
+        rf = ranks[f]
+        live = True
+        u, v = x.u, x.v
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            u, e = up[u]
+            if ranks[e] < rf:
+                live = False
+            if rf < cover.get(e, rf + 1):
+                cover[e] = rf
+        letters[f] = token("l" if live else "d", x.sign < 0)
+    for e in tree:
+        live = e not in cover or ranks[e] <= cover[e]
+        letters[e] = token("L" if live else "D", edges[e].sign < 0)
+    return tuple(letters[e] for e in sorted(edges, key=ranks.__getitem__))
 
 
 def tree_words(g, ranks=None):

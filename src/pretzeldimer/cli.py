@@ -32,7 +32,7 @@ from .laurent import Laurent
 from .matrix import (build_block_matrix, build_graph_matrix, det_value,
                      dump_json, enhance, expand, perm_value, pretty,
                      sign_matrix, word_multiset)
-from .oracle import state_sum_bracket, tree_expansion_bracket
+from .oracle import state_sum_bracket, words_bracket
 from .taitgraphs import (build_overlay, build_tait, dual_graph,
                          overlay_to_dot, solve_kasteleyn, tait_to_dot,
                          verify_kasteleyn)
@@ -137,19 +137,21 @@ def cmd_matrix(spec, args):
 
 def cmd_verify(spec, args):
     diagram = build_diagram(spec)
-    components = trace(diagram).components
+    traced = trace(diagram)
+    components = traced.components
     g = build_tait(spec)
     ov = build_overlay(spec)
     signs = solve_kasteleyn(ov)
     plain = build_block_matrix(spec)
     signed = sign_matrix(plain, signs)
     words = word_multiset(plain)
+    twords = [w for _, w in tree_words(g)]
 
     checks = []
     checks.append(("block and graph constructors agree",
                    plain.by_region() == build_graph_matrix(ov).by_region()))
     checks.append(("expansion words = spanning-tree words",
-                   words == sorted(w for _, w in tree_words(g))))
+                   words == sorted(twords)))
     checks.append(("kasteleyn signing verified",
                    verify_kasteleyn(ov.faces, signs)))
     expect = sum(_product(abs(v) for j, v in enumerate(spec) if j != i)
@@ -163,18 +165,19 @@ def cmd_verify(spec, args):
                    len({t.parity * t.ksign for t in expand(signed)}) == 1))
 
     notice = None
+    tree_bracket = words_bracket(twords)
     if components == 1:
         ref = jones_in_A(spec)
-        w = trace(diagram).writhe
-        tree_route = tree_expansion_bracket(g) * _kink(w)
-        sum_route = state_sum_bracket(diagram) * _kink(w)
+        kink = _kink(traced.writhe)
+        tree_route = tree_bracket * kink
+        sum_route = state_sum_bracket(diagram) * kink
         checks.append(("jones: matrix = trees = state sum",
                        tree_route in (ref, -ref) and sum_route in (ref, -ref)))
     else:
         notice = ("%d-component link; jones checks skipped, "
                   "bracket checked instead" % components)
         checks.append(("bracket: matrix = trees = state sum",
-                       per == tree_expansion_bracket(g)
+                       per == tree_bracket
                        and per == state_sum_bracket(diagram)))
 
     failed = [name for name, ok in checks if not ok]

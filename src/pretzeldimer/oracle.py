@@ -1,8 +1,14 @@
 """Independent cross-checks for the matrix pipeline.
 
-Nothing here touches checkerboard graphs, activities, or matrices: the
-state sum works straight off the diagram's port wiring, so it can referee
-disagreements anywhere downstream.
+Two slow routes, each independent of what it checks:
+
+* the state sum uses nothing but the diagram's port wiring (no
+  checkerboard graphs, activities or matrices), so it can referee
+  disagreements anywhere downstream;
+* the tree expansion enumerates the spanning trees of the signed Tait
+  graph and adds up the Table-1 weights of their activity words, so it
+  checks the activity matrix, its expansion and its determinant without
+  using any of them.
 """
 
 from __future__ import annotations
@@ -17,15 +23,29 @@ def tree_expansion_bracket(g):
     graph, evaluate each activity word, add up.
     """
     from .activities import tree_words
+
+    return words_bracket(w for _, w in tree_words(g))
+
+
+def words_bracket(words):
+    """Sum of the Table-1 weights of activity words.
+
+    Every Table-1 letter is a monomial +-A^k, so each word weighs one
+    monomial too: its sign and exponent are summed as plain integers.
+    """
     from .evaluate import JONES_TABLE
 
-    total = Laurent.zero()
-    for _, word in tree_words(g):
-        poly = Laurent.one()
+    weights = {tok: next(iter(p.coeffs.items()))
+               for tok, p in JONES_TABLE.items()}
+    total = {}
+    for word in words:
+        exp, coeff = 0, 1
         for tok in word:
-            poly = poly * JONES_TABLE[tok]
-        total = total + poly
-    return total
+            k, c = weights[tok]
+            exp += k
+            coeff *= c
+        total[exp] = total.get(exp, 0) + coeff
+    return Laurent(total)
 
 
 def tree_expansion_jones(g, w):
@@ -40,63 +60,65 @@ _SMOOTHINGS = {
     "\\": {"A": (("NW", "NE"), ("SW", "SE")), "B": (("NW", "SW"), ("NE", "SE"))},
 }
 
-_CORNER_IDX = {"NW": 0, "NE": 1, "SW": 2, "SE": 3}
-
 
 def state_sum_bracket(diagram):
     """Kauffman bracket by brute force over all 2^n smoothings.
 
     <L> = sum over states A^(a-b) * delta^(loops-1), delta = -A^2 - A^-2.
-    Loops are counted with union-find over the 4n ports (arcs plus chosen
-    smoothing pairings form a disjoint union of cycles).
+    Each arc of the diagram is contracted to one node; a state's smoothing
+    pairings then join arcs into its loops.  The states are enumerated
+    depth-first over the crossings on one union-find (union by rank, no
+    path compression), each crossing's two pairings undone on the way back.
     """
     labels = sorted(diagram.crossings)
     n = len(labels)
-    pos = {label: i for i, label in enumerate(labels)}
-
-    def pid(port):
-        return 4 * pos[port[0]] + _CORNER_IDX[port[1]]
-
-    arc_pairs = [(pid(p), pid(q)) for p, q in diagram.arc_list()]
-    # per crossing: (A-smoothing pairs, B-smoothing pairs) as port ids
+    arc_of = {}
+    arcs = diagram.arc_list()
+    for i, (p, q) in enumerate(arcs):
+        arc_of[p] = arc_of[q] = i
+    # per crossing: (A-smoothing pairs, B-smoothing pairs) as arc ids
     smooth = []
     for label in labels:
-        over = diagram.crossings[label].over
-        byname = _SMOOTHINGS[over]
+        byname = _SMOOTHINGS[diagram.crossings[label].over]
         smooth.append(tuple(
-            tuple((pid((label, a)), pid((label, b))) for a, b in byname[kind])
+            tuple((arc_of[(label, a)], arc_of[(label, b)])
+                  for a, b in byname[kind])
             for kind in ("A", "B")))
 
-    size = 4 * n
+    size = len(arcs)
+    parent = list(range(size))
+    rank = [0] * size
     counts = {}   # (a_minus_b, loops) -> number of states
-    for state in range(1 << n):
-        parent = list(range(size))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
-        merges = 0
-        a_count = 0
-        for i in range(n):
-            kind = (state >> i) & 1      # 0 = A, 1 = B
-            if not kind:
-                a_count += 1
+    def visit(i, a_count, merges):
+        if i == n:
+            key = (2 * a_count - n, size - merges)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        for kind in (0, 1):                  # 0 = A, 1 = B
+            undo = []
             for x, y in smooth[i][kind]:
                 rx, ry = find(x), find(y)
                 if rx != ry:
+                    if rank[rx] > rank[ry]:
+                        rx, ry = ry, rx
                     parent[rx] = ry
-                    merges += 1
-        for x, y in arc_pairs:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-                merges += 1
-        loops = size - merges
-        key = (2 * a_count - n, loops)
-        counts[key] = counts.get(key, 0) + 1
+                    bump = rank[rx] == rank[ry]
+                    if bump:
+                        rank[ry] += 1
+                    undo.append((rx, ry, bump))
+            visit(i + 1, a_count + 1 - kind, merges + len(undo))
+            for rx, ry, bump in reversed(undo):
+                parent[rx] = rx
+                if bump:
+                    rank[ry] -= 1
+
+    visit(0, 0, 0)
 
     delta = Laurent({2: -1, -2: -1})
     max_loops = max(l for _, l in counts)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -148,3 +150,114 @@ def test_first_trefoil_matching_deterministic():
     ov = build_overlay((1, 1, 1))
     ms = perfect_matchings(ov)
     assert ms[0] == (BOT, strip(1), strip(2))
+
+
+# ---------------------------------------------------------------------------
+# the definition-level reference: one tree search per edge
+
+#: seconds the sweep below may take; the 4 112 specs have 181 760 trees
+REFERENCE_BUDGET_S = 60
+
+
+def _tree_adjacency(g, tree):
+    adj = {}
+    for e in tree:
+        u, v = g.endpoints(e)
+        adj.setdefault(u, []).append((v, e))
+        adj.setdefault(v, []).append((u, e))
+    return adj
+
+
+def _component_after_removal(ends, adj, drop):
+    """Vertex set of the component of tree - drop containing one endpoint."""
+    u0, _ = ends[drop]
+    seen = {u0}
+    stack = [u0]
+    while stack:
+        x = stack.pop()
+        for y, e in adj.get(x, ()):
+            if e != drop and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _tree_path_edges(adj, a, b):
+    prev = {a: None}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        if x == b:
+            break
+        for y, e in adj.get(x, ()):
+            if y not in prev:
+                prev[y] = (x, e)
+                stack.append(y)
+    path = []
+    x = b
+    while prev[x] is not None:
+        x, e = prev[x]
+        path.append(e)
+    return path
+
+
+def fundamental_sets(g, tree):
+    """edge -> (in tree, its fundamental cut or cycle as a list of edges).
+
+    The cut of a tree edge is every edge with one end on each side of the
+    tree with that edge removed; the cycle of a non-tree edge is its tree
+    path plus itself.
+    """
+    ends = {e: g.endpoints(e) for e in g.edges}
+    adj = _tree_adjacency(g, tree)
+    tree_set = set(tree)
+    out = {}
+    for e, (u, v) in ends.items():
+        if e in tree_set:
+            side = _component_after_removal(ends, adj, e)
+            out[e] = (True, [x for x, (a, b) in ends.items()
+                             if (a in side) != (b in side)])
+        else:
+            out[e] = (False, _tree_path_edges(adj, u, v) + [e])
+    return out
+
+
+def reference_word(g, sets, ranks):
+    """Activity word from fundamental_sets: lowest in cut / lowest in cycle."""
+    letters = {}
+    for e, (in_tree, edges) in sets.items():
+        live = ranks[e] == min(ranks[x] for x in edges)
+        letter = ("L" if live else "D") if in_tree else ("l" if live else "d")
+        letters[e] = token(letter, g.edges[e].sign < 0)
+    return tuple(letters[e] for e in sorted(g.edges, key=lambda x: ranks[x]))
+
+
+def desk_sweep():
+    """k in {2,3,4}, entries +-1..4, at most 12 crossings (4 112 specs)."""
+    entries = [v for v in range(-4, 5) if v]
+    return [combo for k in (2, 3, 4)
+            for combo in itertools.product(entries, repeat=k)
+            if sum(abs(v) for v in combo) <= 12]
+
+
+def test_one_pass_words_match_reference_on_desk_sweep():
+    # every tree of every desk spec, under the identity ranking and under
+    # one seeded random ranking per spec
+    t0 = time.perf_counter()
+    rng = random.Random(404)
+    trees = 0
+    for spec in desk_sweep():
+        g = build_tait(spec)
+        labels = sorted(g.edges)
+        shuffled = labels[:]
+        rng.shuffle(shuffled)
+        identity = {e: e for e in labels}
+        rankings = [None, dict(zip(labels, shuffled))]
+        for t in spanning_trees(g):
+            sets = fundamental_sets(g, t)
+            for ranks in rankings:
+                expected = reference_word(g, sets, ranks or identity)
+                assert activity_word(g, t, ranks) == expected, (spec, t, ranks)
+            trees += 1
+    assert trees == 181760
+    assert time.perf_counter() - t0 < REFERENCE_BUDGET_S

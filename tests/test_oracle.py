@@ -1,8 +1,14 @@
+import itertools
 import random
+import time
 
 from pretzeldimer.diagram import build_diagram, trace
+from pretzeldimer.extend import MOVES, apply_moves, initial_state
 from pretzeldimer.laurent import Laurent
 from pretzeldimer.oracle import state_sum_bracket
+
+#: seconds each reference comparison below may take
+REFERENCE_BUDGET_S = 60
 
 
 def L(pairs):
@@ -66,3 +72,117 @@ def test_bracket_at_one_counts_components():
         t = trace(d)
         got = state_sum_bracket(d).at_one()
         assert got == (-1) ** (t.writhe % 2) * (-2) ** (t.components - 1)
+
+
+# ---------------------------------------------------------------------------
+# the reference: a fresh union-find over all 4n ports for every state
+
+_CORNER_IDX = {"NW": 0, "NE": 1, "SW": 2, "SE": 3}
+
+# smoothing port pairings, by over-strand type:
+#   A-smoothing rotates the over strand counterclockwise onto the under one
+_SMOOTHINGS = {
+    "/": {"A": (("NW", "SW"), ("NE", "SE")), "B": (("NW", "NE"), ("SW", "SE"))},
+    "\\": {"A": (("NW", "NE"), ("SW", "SE")), "B": (("NW", "SW"), ("NE", "SE"))},
+}
+
+
+def reference_state_sum_bracket(diagram):
+    """Kauffman bracket over all 2^n smoothings, each state from scratch.
+
+    Loops are counted with union-find over the 4n ports (arcs plus chosen
+    smoothing pairings form a disjoint union of cycles).
+    """
+    labels = sorted(diagram.crossings)
+    n = len(labels)
+    pos = {label: i for i, label in enumerate(labels)}
+
+    def pid(port):
+        return 4 * pos[port[0]] + _CORNER_IDX[port[1]]
+
+    arc_pairs = [(pid(p), pid(q)) for p, q in diagram.arc_list()]
+    smooth = []
+    for label in labels:
+        byname = _SMOOTHINGS[diagram.crossings[label].over]
+        smooth.append(tuple(
+            tuple((pid((label, a)), pid((label, b))) for a, b in byname[kind])
+            for kind in ("A", "B")))
+
+    size = 4 * n
+    counts = {}   # (a_minus_b, loops) -> number of states
+    for state in range(1 << n):
+        parent = list(range(size))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        merges = 0
+        a_count = 0
+        for i in range(n):
+            kind = (state >> i) & 1      # 0 = A, 1 = B
+            if not kind:
+                a_count += 1
+            for x, y in smooth[i][kind]:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[rx] = ry
+                    merges += 1
+        for x, y in arc_pairs:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+                merges += 1
+        loops = size - merges
+        key = (2 * a_count - n, loops)
+        counts[key] = counts.get(key, 0) + 1
+
+    delta = Laurent({2: -1, -2: -1})
+    total = Laurent.zero()
+    for (exp, loops), mult in counts.items():
+        total = total + Laurent.term(mult, exp) * delta ** (loops - 1)
+    return total
+
+
+def desk_sweep(max_crossings):
+    """Desk specs (k in {2,3,4}, entries +-1..4) up to max_crossings."""
+    entries = [v for v in range(-4, 5) if v]
+    return [combo for k in (2, 3, 4)
+            for combo in itertools.product(entries, repeat=k)
+            if sum(abs(v) for v in combo) <= max_crossings]
+
+
+def test_rollback_state_sum_matches_reference_on_desk_sweep():
+    t0 = time.perf_counter()
+    specs = desk_sweep(10)
+    assert len(specs) == 2944
+    for spec in specs:
+        d = build_diagram(spec)
+        assert state_sum_bracket(d) == reference_state_sum_bracket(d), spec
+    assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
+
+
+def test_rollback_state_sum_matches_reference_on_move_chains():
+    # grown diagrams have arcs column builds never make, such as a kink
+    # joining two ports of one crossing
+    t0 = time.perf_counter()
+    rng = random.Random(2718)
+    specs = desk_sweep(6)
+    names = sorted(MOVES)
+    used = set()
+    checked = 0
+    while checked < 200:
+        spec = rng.choice(specs)
+        chain = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+        try:
+            d = apply_moves(initial_state(spec), chain).diagram
+        except ValueError:            # edge extension after a kink
+            continue
+        assert state_sum_bracket(d) == reference_state_sum_bracket(d), \
+            (spec, chain)
+        used.update(chain)
+        checked += 1
+    assert used == set(MOVES)
+    assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
