@@ -44,30 +44,48 @@ def spanning_trees(g):
     """All spanning trees by contraction/deletion in ascending edge order.
 
     Returns a list of tuples of edge labels; the include-branch is explored
-    first, so the order is deterministic.
+    first, so the order is deterministic.  The components live in one
+    union-find (union by rank, no path compression) whose merge is undone
+    when the include-branch returns.
     """
     labels = sorted(g.edges)
-    nv = len(g.vertices)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[g.edges[e].u], index[g.edges[e].v]) for e in labels]
+    parent = list(range(len(index)))
+    rank = [0] * len(index)
+    chosen = []
     results = []
 
-    def rec(i, comp, count, chosen):
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def rec(i, count):
         if count == 1:
             results.append(tuple(chosen))
             return
         if i == len(labels) or count - 1 > len(labels) - i:
             return
-        e = g.edges[labels[i]]
-        cu, cv = comp[e.u], comp[e.v]
-        if cu == cv:
-            rec(i + 1, comp, count, chosen)
+        ru, rv = find(ends[i][0]), find(ends[i][1])
+        if ru == rv:
+            rec(i + 1, count)
             return
-        merged = {v: (cu if c == cv else c) for v, c in comp.items()}
+        if rank[ru] > rank[rv]:
+            ru, rv = rv, ru
+        parent[ru] = rv
+        bump = rank[ru] == rank[rv]
+        if bump:
+            rank[rv] += 1
         chosen.append(labels[i])
-        rec(i + 1, merged, count - 1, chosen)
+        rec(i + 1, count - 1)
         chosen.pop()
-        rec(i + 1, comp, count, chosen)
+        parent[ru] = ru
+        if bump:
+            rank[rv] -= 1
+        rec(i + 1, count)
 
-    rec(0, {v: v for v in g.vertices}, nv, [])
+    rec(0, len(index))
     return results
 
 

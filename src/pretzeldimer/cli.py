@@ -28,10 +28,10 @@ from .evaluate import (JONES_TABLE, bracket, invariant_bundle, jones_in_A,
                        stencil_word_pairs)
 from .extend import (MOVES, apply_moves, initial_state, state_bracket,
                      state_jones_raw)
-from .laurent import Laurent
+from .laurent import writhe_factor
 from .matrix import (build_block_matrix, build_graph_matrix, det_value,
-                     dump_json, enhance, expand, perm_value, pretty,
-                     sign_matrix, word_multiset)
+                     dump_json, enhance, expand, pretty, sign_matrix,
+                     word_sum)
 from .oracle import state_sum_bracket, words_bracket
 from .taitgraphs import (build_overlay, build_tait, dual_graph,
                          overlay_to_dot, solve_kasteleyn, tait_to_dot,
@@ -144,7 +144,8 @@ def cmd_verify(spec, args):
     signs = solve_kasteleyn(ov)
     plain = build_block_matrix(spec)
     signed = sign_matrix(plain, signs)
-    words = word_multiset(plain)
+    terms = expand(signed)
+    words = sorted(t.word for t in terms)
     twords = [w for _, w in tree_words(g)]
 
     checks = []
@@ -159,16 +160,16 @@ def cmd_verify(spec, args):
     checks.append(("term count law (%d terms)" % len(words),
                    len(words) == expect))
     det = det_value(signed, JONES_TABLE)
-    per = perm_value(plain, JONES_TABLE)
+    per = word_sum(words, JONES_TABLE)
     checks.append(("|determinant| = |permanent|", det in (per, -per)))
     checks.append(("sign split is a global constant",
-                   len({t.parity * t.ksign for t in expand(signed)}) == 1))
+                   len({t.parity * t.ksign for t in terms}) == 1))
 
     notice = None
     tree_bracket = words_bracket(twords)
     if components == 1:
         ref = jones_in_A(spec)
-        kink = _kink(traced.writhe)
+        kink = writhe_factor(traced.writhe)
         tree_route = tree_bracket * kink
         sum_route = state_sum_bracket(diagram) * kink
         checks.append(("jones: matrix = trees = state sum",
@@ -212,10 +213,6 @@ def _product(values):
     return out
 
 
-def _kink(w):
-    return Laurent.term(-1, -3) ** w
-
-
 # ---------------------------------------------------------------------------
 # khovanov
 
@@ -247,9 +244,9 @@ def cmd_khovanov(spec, args):
     print("total %d generators" % total)
     if not reports:
         print("no differential stencils found")
-    for r in reports:
+    for r, pairs in zip(reports, stencil_word_pairs(m, reports)):
         blob = r.to_json(names=True)
-        npairs = len(stencil_word_pairs(m, r))
+        npairs = len(pairs)
         print("differential: rows (%d, %d)  columns (%s, %s)  stencil %s  "
               "(%d word pair%s)"
               % (blob["rows"][0], blob["rows"][1], blob["cols"][0],

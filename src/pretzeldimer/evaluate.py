@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import build_diagram, trace
-from .laurent import Laurent, Laurent2
+from .laurent import Laurent, Laurent2, writhe_factor  # noqa: F401  (public)
 from .matrix import (
     build_block_matrix,
     det_value,
@@ -61,10 +61,6 @@ def gradings(word):
         elif tok == "l~":
             u += 1
     return u, v
-
-
-def writhe_factor(w):
-    return Laurent.term(-1, -3) ** w
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +201,37 @@ def scan_differentials(m):
     return reports
 
 
-def stencil_word_pairs(m, report):
-    """Expansion word pairs realizing one stencil report's arrow.
+def stencil_word_pairs(m, reports):
+    """Expansion word pairs realizing each stencil report's arrow.
 
-    Returns [(source word, target word), ...]: words agreeing outside the
-    stencil rows, where the source takes the stencil diagonal and the
-    target the anti-diagonal.
+    Returns one list per report of (source word, target word) pairs: words
+    agreeing outside the stencil rows, where the source takes the stencil
+    diagonal and the target the anti-diagonal.  The matrix is expanded
+    once for all the reports, and not at all when there are none.
     """
+    if not reports:
+        return []
     terms = expand(m)
-    i1 = m.rows.index(report.rows[0])
-    i2 = m.rows.index(report.rows[1])
     cidx = {c.region: ci for ci, c in enumerate(m.columns)}
-    ca, cb = cidx[report.cols[0]], cidx[report.cols[1]]
+    out = []
+    for report in reports:
+        i1 = m.rows.index(report.rows[0])
+        i2 = m.rows.index(report.rows[1])
+        ca, cb = cidx[report.cols[0]], cidx[report.cols[1]]
+        lo, hi = sorted((i1, i2))
 
-    def masked(t):
-        return tuple(x for ri, x in enumerate(t.cols) if ri not in (i1, i2))
+        def masked(cols):
+            return cols[:lo] + cols[lo + 1:hi] + cols[hi + 1:]
 
-    diag = {}
-    anti = {}
-    for t in terms:
-        if t.cols[i1] == ca and t.cols[i2] == cb:
-            diag[masked(t)] = t.word
-        elif t.cols[i1] == cb and t.cols[i2] == ca:
-            anti[masked(t)] = t.word
-    return [(diag[k], anti[k]) for k in sorted(set(diag) & set(anti))]
+        diag = {}
+        anti = {}
+        for t in terms:
+            if t.cols[i1] == ca and t.cols[i2] == cb:
+                diag[masked(t.cols)] = t.word
+            elif t.cols[i1] == cb and t.cols[i2] == ca:
+                anti[masked(t.cols)] = t.word
+        out.append([(diag[k], anti[k]) for k in sorted(set(diag) & set(anti))])
+    return out
 
 
 # ---------------------------------------------------------------------------

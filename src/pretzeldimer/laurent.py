@@ -233,6 +233,11 @@ class Laurent:
         return "Laurent(%r)" % (self.coeffs,)
 
 
+def writhe_factor(w):
+    """(-A^-3)^w, which turns a bracket of writhe w into the Jones polynomial."""
+    return Laurent.term(-1, -3) ** w
+
+
 class Laurent2:
     """A Laurent polynomial in two variables (u, v), integer coefficients.
 

@@ -15,9 +15,12 @@ weights (multiplying the evaluation by (-A^-3)^writhe).
 
 The invariants never expand: det_value eliminates (fraction-free, exact
 over Z[A^+-1]) and kasteleyn_perm reads the permanent off the signed
-determinant.  expand and perm_value enumerate every term, which grows
-exponentially with the number of twist columns; they serve word-level
-questions and are the slow route elimination is checked against.
+determinant.  expand and perm_value enumerate every term; they serve
+word-level questions and are the slow route elimination is checked
+against.  The enumeration cuts the branches a column's last candidate
+row rules out and reads each parity off the cycle lengths, so on pretzel
+matrices it costs about terms x n, but the number of terms grows
+exponentially with the number of twist columns.
 
 The row order matters: clean activity words come from the standard
 numbering.  A documented counterexample — reversing the labels of
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 from .activities import split_token, token
 from .diagram import trace
-from .laurent import Laurent, Laurent2
+from .laurent import Laurent, Laurent2, writhe_factor
 from .taitgraphs import BOT, bigon, region_name, strip
 
 
@@ -225,18 +228,43 @@ def _row_candidates(m):
 
 
 def _parity(cols):
-    inv = 0
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            if cols[i] > cols[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    """Sign of a permutation of 0..n-1: (-1)^(n - number of cycles)."""
+    seen = [False] * len(cols)
+    even = True
+    for start in range(len(cols)):
+        if seen[start]:
+            continue
+        i = cols[start]
+        seen[start] = True
+        while i != start:             # a cycle of length l is l-1 swaps
+            seen[i] = True
+            i = cols[i]
+            even = not even
+    return 1 if even else -1
 
 
 def _all_terms(m):
-    cands = _row_candidates(m)
+    """Depth-first over the rows, candidate columns in ascending order.
+
+    Dead branches are cut without changing the order of the terms: once
+    row ri has passed, no later row can take a column whose last candidate
+    row is ri.  In a square matrix every term uses every column, so such a
+    column, if still free, must be taken at row ri, and two of them mean
+    the branch holds no term at all.
+    """
     n = m.n
-    used = set()
+    if len(m.columns) != n:
+        raise ValueError("expansion needs a square matrix, got %d x %d"
+                         % (n, len(m.columns)))
+    cands = _row_candidates(m)
+    ending = [[] for _ in range(n)]   # row -> columns it is the last row of
+    last = {}
+    for ri, row in enumerate(cands):
+        for ci, _ in row:
+            last[ci] = ri
+    for ci, ri in last.items():
+        ending[ri].append(ci)
+    used = [False] * n
     pick = []
     terms = []
 
@@ -250,13 +278,16 @@ def _all_terms(m):
                 ksign=_prod_signs(pick),
             ))
             return
+        forced = [ci for ci in ending[ri] if not used[ci]]
+        if len(forced) > 1:
+            return
         for ci, e in cands[ri]:
-            if ci not in used:
-                used.add(ci)
+            if not used[ci] and (not forced or ci == forced[0]):
+                used[ci] = True
                 pick.append((ci, e))
                 rec(ri + 1)
                 pick.pop()
-                used.remove(ci)
+                used[ci] = False
 
     rec(0)
     return terms
@@ -273,8 +304,10 @@ def expand(m, check_duplicates=True):
     """All nonzero permutation terms, in deterministic row-major order.
 
     Rows are processed top to bottom, candidate columns in ascending index
-    order.  The slow route (see the module docstring); the invariants come
-    from det_value.
+    order; branches a forced column rules out are cut, which on pretzel
+    matrices leaves about terms x n steps.  The matrix must be square.  The
+    slow route (see the module docstring); the invariants come from
+    det_value.
     """
     if m.n == 0:
         return []
@@ -293,16 +326,27 @@ def word_multiset(m):
     return sorted(t.word for t in expand(m))
 
 
-def _writhe_factor(m):
-    w = sum(m.row_weights.values())
-    return Laurent.term(-1, -3) ** w
-
-
 def _ring(m, table):
     ring = type(next(iter(table.values())))
     if m.enhanced and ring is not Laurent:
         raise ValueError("writhe weights only make sense for Laurent tables")
     return ring
+
+
+def word_sum(words, table):
+    """Sum over the words of the product of their letters' table values.
+
+    Over the words of every term this is the permanent; perm_value and
+    verify's permanent check both take it this way.
+    """
+    ring = type(next(iter(table.values())))
+    total = ring.zero()
+    for word in words:
+        poly = ring.one()
+        for tok in word:
+            poly = poly * table[tok]
+        total = total + poly
+    return total
 
 
 def perm_value(m, table):
@@ -311,15 +355,10 @@ def perm_value(m, table):
     The independent slow route; kasteleyn_perm gives the same value by
     elimination.
     """
-    ring = _ring(m, table)
-    total = ring.zero()
-    for t in expand(m):
-        poly = ring.one()
-        for tok in t.word:
-            poly = poly * table[tok]
-        total = total + poly
+    _ring(m, table)                   # refuses weights on two-variable tables
+    total = word_sum((t.word for t in expand(m)), table)
     if m.enhanced:
-        total = total * _writhe_factor(m)
+        total = total * writhe_factor(sum(m.row_weights.values()))
     return total
 
 
@@ -428,7 +467,7 @@ def det_value(m, table):
     if decode is not None:
         return decode(total)
     if m.enhanced:
-        total = total * _writhe_factor(m)
+        total = total * writhe_factor(sum(m.row_weights.values()))
     return total
 
 

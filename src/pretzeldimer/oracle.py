@@ -13,7 +13,7 @@ Two slow routes, each independent of what it checks:
 
 from __future__ import annotations
 
-from .laurent import Laurent
+from .laurent import Laurent, writhe_factor
 
 
 def tree_expansion_bracket(g):
@@ -50,7 +50,7 @@ def words_bracket(words):
 
 def tree_expansion_jones(g, w):
     """Jones polynomial in t from the spanning-tree expansion and writhe w."""
-    total = (Laurent.term(-1, -3) ** w) * tree_expansion_bracket(g)
+    total = writhe_factor(w) * tree_expansion_bracket(g)
     return total.reexpress(-4)
 
 # smoothing port pairings, by over-strand type:

@@ -231,11 +231,12 @@ def test_criterion_10():
             assert khovanov_poincare(spec) == total, spec
             assert sum(c for _, c in total.to_pairs()) == len(terms), spec
             cells = dict(STENCILS)
-            for rep in scan_differentials(m):
+            reports = scan_differentials(m)
+            for rep, pairs in zip(reports, stencil_word_pairs(m, reports)):
                 (s11, s12), (s21, s22) = cells[rep.stencil]
                 i1 = m.rows.index(rep.rows[0])
                 i2 = m.rows.index(rep.rows[1])
-                for src, tgt in stencil_word_pairs(m, rep):
+                for src, tgt in pairs:
                     diffs = {i for i, (a, b) in enumerate(zip(src, tgt))
                              if a != b}
                     assert diffs == {i1, i2}, (spec, rep)

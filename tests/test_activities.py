@@ -17,7 +17,8 @@ from pretzeldimer.activities import (
     tree_words,
     word_str,
 )
-from pretzeldimer.taitgraphs import BOT, build_overlay, build_tait, strip
+from pretzeldimer.taitgraphs import (BOT, build_overlay, build_tait,
+                                     dual_graph, strip)
 
 
 def tree_count_formula(spec):
@@ -260,4 +261,44 @@ def test_one_pass_words_match_reference_on_desk_sweep():
                 assert activity_word(g, t, ranks) == expected, (spec, t, ranks)
             trees += 1
     assert trees == 181760
+    assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
+
+
+def reference_spanning_trees(g):
+    """Contraction/deletion that copies the component map per included edge."""
+    labels = sorted(g.edges)
+    results = []
+
+    def rec(i, comp, count, chosen):
+        if count == 1:
+            results.append(tuple(chosen))
+            return
+        if i == len(labels) or count - 1 > len(labels) - i:
+            return
+        e = g.edges[labels[i]]
+        cu, cv = comp[e.u], comp[e.v]
+        if cu == cv:
+            rec(i + 1, comp, count, chosen)
+            return
+        merged = {v: (cu if c == cv else c) for v, c in comp.items()}
+        chosen.append(labels[i])
+        rec(i + 1, merged, count - 1, chosen)
+        chosen.pop()
+        rec(i + 1, comp, count, chosen)
+
+    rec(0, {v: v for v in g.vertices}, len(g.vertices), [])
+    return results
+
+
+def test_rollback_trees_match_reference_on_desk_sweep():
+    # same trees in the same order, for the Tait graph and its dual
+    t0 = time.perf_counter()
+    trees = 0
+    for spec in desk_sweep():
+        g = build_tait(spec)
+        for graph in (g, dual_graph(g)):
+            got = spanning_trees(graph)
+            assert got == reference_spanning_trees(graph), spec
+            trees += len(got)
+    assert trees == 2 * 181760
     assert time.perf_counter() - t0 < REFERENCE_BUDGET_S

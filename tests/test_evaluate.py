@@ -195,7 +195,7 @@ def test_scan_differentials_torus_819():
     assert reports == [
         StencilReport(rows=(2, 3), cols=(strip(1), BOT), stencil="d~L~/dD"),
     ]
-    pairs = stencil_word_pairs(m, reports[0])
+    [pairs] = stencil_word_pairs(m, reports)
     assert pairs
     for src, tgt in pairs:
         assert (src[1], src[2]) == ("d~", "D")

@@ -1,10 +1,17 @@
+import itertools
+import random
+import sys
+import time
+
 import pytest
 
 from pretzeldimer.activities import tree_words
+from pretzeldimer.extend import MOVES, apply_moves, initial_state
 from pretzeldimer.matrix import (
     ActivityMatrix,
     Column,
     Entry,
+    Term,
     build_block_matrix,
     build_graph_matrix,
     det_value,
@@ -19,6 +26,7 @@ from pretzeldimer.matrix import (
     word_multiset,
 )
 from pretzeldimer.diagram import build_diagram
+from pretzeldimer.evaluate import pipeline_matrix
 from pretzeldimer.laurent import Laurent
 from pretzeldimer.taitgraphs import (
     BOT,
@@ -233,3 +241,157 @@ def test_pretty_and_json():
     assert dump_json(signed).startswith("{")
     enhanced = enhance(m, build_diagram((-2, 3, 3)))
     assert "(w+1)" in pretty(enhanced)
+
+
+def test_expansion_refuses_non_square_matrix():
+    m = ActivityMatrix(
+        rows=[1, 2],
+        columns=[Column("internal", BOT)],
+        entries={(0, 0): Entry("L"), (1, 0): Entry("D")},
+    )
+    with pytest.raises(ValueError, match="square"):
+        expand(m)
+
+
+# ---------------------------------------------------------------------------
+# the unpruned reference: every branch, parity by counting inversions
+
+#: seconds each reference comparison below may take
+REFERENCE_BUDGET_S = 60
+
+
+def reference_parity(cols):
+    inv = 0
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            if cols[i] > cols[j]:
+                inv += 1
+    return -1 if inv & 1 else 1
+
+
+def reference_terms(m):
+    """Backtracking over every free candidate column, row by row."""
+    cands = [[] for _ in range(m.n)]
+    for (ri, ci), e in sorted(m.entries.items()):
+        cands[ri].append((ci, e))
+    used = set()
+    pick = []
+    terms = []
+
+    def rec(ri):
+        if ri == m.n:
+            cols = tuple(ci for ci, _ in pick)
+            ksign = 1
+            for _, e in pick:
+                ksign *= e.sign
+            terms.append(Term(cols=cols, word=tuple(e.tok for _, e in pick),
+                              parity=reference_parity(cols), ksign=ksign))
+            return
+        for ci, e in cands[ri]:
+            if ci not in used:
+                used.add(ci)
+                pick.append((ci, e))
+                rec(ri + 1)
+                pick.pop()
+                used.remove(ci)
+
+    rec(0)
+    return terms
+
+
+def desk_sweep():
+    """k in {2,3,4}, entries +-1..4, at most 12 crossings (4 112 specs)."""
+    entries = [v for v in range(-4, 5) if v]
+    return [combo for k in (2, 3, 4)
+            for combo in itertools.product(entries, repeat=k)
+            if sum(abs(v) for v in combo) <= 12]
+
+
+def test_expansion_matches_reference_on_desk_sweep():
+    t0 = time.perf_counter()
+    terms = 0
+    for spec in desk_sweep():
+        signed = pipeline_matrix(spec, enhanced=False)
+        for m in (build_block_matrix(spec), signed):
+            got = expand(m)
+            assert got == reference_terms(m), spec
+            terms += len(got)
+    assert terms == 2 * 181760
+    assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
+
+
+def test_expansion_matches_reference_on_move_chains():
+    t0 = time.perf_counter()
+    rng = random.Random(5150)
+    specs = desk_sweep()
+    names = sorted(MOVES)
+    used = set()
+    checked = 0
+    while checked < 300:
+        spec = rng.choice(specs)
+        chain = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+        try:
+            m = apply_moves(initial_state(spec), chain).matrix
+        except ValueError:            # edge extension after a kink
+            continue
+        assert expand(m) == reference_terms(m), (spec, chain)
+        used.update(chain)
+        checked += 1
+    assert used == set(MOVES)
+    assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
+
+
+def test_expansion_matches_reference_on_odd_matrices():
+    ov = build_overlay((-2, 3, 3))
+    ranks = {c: 9 - c for c in range(1, 9)}
+    reversed_ranks = sign_matrix(build_graph_matrix(ov, ranks),
+                                 solve_kasteleyn(ov))
+    duplicates = ActivityMatrix(
+        rows=[1, 2],
+        columns=[Column("internal", BOT), Column("external", strip(1))],
+        entries={(0, 0): Entry("d"), (0, 1): Entry("d", -1),
+                 (1, 0): Entry("d"), (1, 1): Entry("d")},
+        signed=True,
+    )
+    singular = ActivityMatrix(
+        rows=[1, 2],
+        columns=[Column("internal", BOT), Column("external", strip(1))],
+        entries={(0, 0): Entry("L"), (1, 0): Entry("D")},
+    )
+    for m, count in ((reversed_ranks, 21), (duplicates, 2), (singular, 0)):
+        got = expand(m, check_duplicates=False)
+        assert got == reference_terms(m)
+        assert len(got) == count
+    assert {t.parity for t in expand(duplicates, check_duplicates=False)} \
+        == {1, -1}
+
+
+def expansion_calls(m):
+    """(terms, calls of the expansion's recursive step) for one expand."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" \
+                and code.co_filename.endswith("matrix.py"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        terms = expand(m)
+    finally:
+        sys.setprofile(None)
+    return len(terms), calls
+
+
+@pytest.mark.parametrize("spec", [(-2, 3, 41), (-2, 5, 21), (3, -3, 3, 3),
+                                  (-4, 4, -3, 1), (5,), (2, 2)])
+def test_expansion_explores_no_dead_branches(spec):
+    # with the forced-column cut the search takes at most n + 1 steps per
+    # term on pretzel matrices, about half that on long columns; without
+    # it P(-2,3,41) took 64 000 steps for 211 terms
+    for m in (build_block_matrix(spec), pipeline_matrix(spec, enhanced=False)):
+        terms, calls = expansion_calls(m)
+        assert terms > 0
+        assert m.n < calls <= terms * (m.n + 1), (spec, terms, calls)
