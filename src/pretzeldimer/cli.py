@@ -18,20 +18,19 @@ apply left to right.
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 
 from .activities import tree_words
-from .diagram import build_diagram, parse_spec, trace
-from .evaluate import (JONES_TABLE, bracket, invariant_bundle, jones_in_A,
-                       khovanov_poincare, pipeline_matrix, scan_differentials,
-                       stencil_word_pairs)
-from .extend import (MOVES, apply_moves, initial_state, state_bracket,
-                     state_jones_raw)
+from .diagram import parse_spec, trace
+from .evaluate import scan_differentials, state_invariants, stencil_word_pairs
+from .extend import (MOVES, apply_moves, initial_state, normalized,
+                     state_bracket, state_jones_raw, state_khovanov_poincare,
+                     state_matrix)
 from .laurent import writhe_factor
-from .matrix import (build_block_matrix, build_graph_matrix, det_value,
-                     dump_json, enhance, expand, pretty, sign_matrix,
-                     word_sum)
+from .matrix import (JONES_TABLE, build_graph_matrix, dump_json, expand,
+                     pretty, word_sum)
 from .oracle import state_sum_bracket, words_bracket
 from .taitgraphs import (build_overlay, build_tait, dual_graph,
                          overlay_to_dot, solve_kasteleyn, tait_to_dot,
@@ -66,12 +65,12 @@ def cmd_jones(spec, args):
         return 0
 
     try:
-        raw, flipped = state_jones_raw(st)
+        raw = state_jones_raw(st)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    val = (-raw if flipped else raw).reexpress(-4)
-    sign = -1 if flipped else 1
+    val = normalized(raw).reexpress(-4)
+    sign = -1 if raw[1] else 1
     if args.json:
         if args.raw_sign:
             blob = {"jones": val.to_pairs(), "raw_sign": sign}
@@ -104,27 +103,16 @@ def cmd_matrix(spec, args):
             print(overlay_to_dot(ov, signs))
         return 0
 
-    if args.extend:
-        try:
-            st = _grown(spec, args.extend)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        m, diagram = st.matrix, st.diagram
-        if not args.signed:
-            m = m.copy()
-            m.signed = False
-    else:
-        diagram = build_diagram(spec)
-        m = build_block_matrix(spec)
-        if args.signed:
-            m = sign_matrix(m, solve_kasteleyn(build_overlay(spec)))
-    if args.enhanced:
-        try:
-            m = enhance(m, diagram)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 3
+    try:
+        st = _grown(spec, args.extend)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    try:
+        m = state_matrix(st, args.signed, args.enhanced)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
     if args.json:
         print(dump_json(m))
     else:
@@ -136,39 +124,39 @@ def cmd_matrix(spec, args):
 # verify
 
 def cmd_verify(spec, args):
-    diagram = build_diagram(spec)
+    st = initial_state(spec)
+    diagram, signed = st.diagram, st.matrix
     traced = trace(diagram)
     components = traced.components
     g = build_tait(spec)
     ov = build_overlay(spec)
     signs = solve_kasteleyn(ov)
-    plain = build_block_matrix(spec)
-    signed = sign_matrix(plain, signs)
     terms = expand(signed)
     words = sorted(t.word for t in terms)
     twords = [w for _, w in tree_words(g)]
+    inv = state_invariants(st)
 
     checks = []
     checks.append(("block and graph constructors agree",
-                   plain.by_region() == build_graph_matrix(ov).by_region()))
+                   signed.by_region() == build_graph_matrix(ov).by_region()))
     checks.append(("expansion words = spanning-tree words",
                    words == sorted(twords)))
     checks.append(("kasteleyn signing verified",
                    verify_kasteleyn(ov.faces, signs)))
-    expect = sum(_product(abs(v) for j, v in enumerate(spec) if j != i)
+    expect = sum(math.prod(abs(v) for j, v in enumerate(spec) if j != i)
                  for i in range(len(spec)))
     checks.append(("term count law (%d terms)" % len(words),
                    len(words) == expect))
-    det = det_value(signed, JONES_TABLE)
     per = word_sum(words, JONES_TABLE)
-    checks.append(("|determinant| = |permanent|", det in (per, -per)))
+    checks.append(("|determinant| = |permanent|",
+                   inv.bracket in (per, -per)))
     checks.append(("sign split is a global constant",
                    len({t.parity * t.ksign for t in terms}) == 1))
 
     notice = None
     tree_bracket = words_bracket(twords)
     if components == 1:
-        ref = jones_in_A(spec)
+        ref = inv.jones_in_A
         kink = writhe_factor(traced.writhe)
         tree_route = tree_bracket * kink
         sum_route = state_sum_bracket(diagram) * kink
@@ -190,7 +178,7 @@ def cmd_verify(spec, args):
             "terms": len(words),
             "checks": {name: ok for name, ok in checks},
             "ok": not failed,
-            "invariants": invariant_bundle(spec),
+            "invariants": inv.to_json(spec),
         }
         print(json.dumps(blob, indent=2, sort_keys=True))
     else:
@@ -206,23 +194,17 @@ def cmd_verify(spec, args):
     return 0 if not failed else 1
 
 
-def _product(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # khovanov
 
 def cmd_khovanov(spec, args):
+    st = initial_state(spec)
     try:
-        val = khovanov_poincare(spec)
+        val = state_khovanov_poincare(st)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    m = pipeline_matrix(spec, signed=False, enhanced=False)
+    m = st.matrix
     reports = scan_differentials(m)
     pairs = val.to_pairs()
     total = sum(c for _, c in pairs)

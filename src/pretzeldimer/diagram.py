@@ -49,7 +49,6 @@ class Diagram:
     # the unique arc separating the upper deck from the unbounded region;
     # surgery operations keep this up to date so kinks know where to attach
     outer_top_arc: tuple | None = None
-    spec: tuple | None = None
 
     @property
     def n(self):
@@ -76,7 +75,6 @@ class Diagram:
             arcs=dict(self.arcs),
             columns=[list(col) for col in self.columns] if self.columns else None,
             outer_top_arc=self.outer_top_arc,
-            spec=self.spec,
         )
 
     def to_json(self):
@@ -125,6 +123,23 @@ def parse_spec(text):
     return tuple(out)
 
 
+def column_labels(sizes):
+    """Crossing labels of each twist column, top to bottom.
+
+    sizes lists the number of crossings per column.  Column 1 is numbered
+    top-down from 1; every later column is numbered bottom-up, continuing
+    the count.  The diagram, the checkerboard graphs and the block matrix
+    all read their labels from here.
+    """
+    columns = []
+    offset = 0
+    for i, m in enumerate(sizes):
+        labels = list(range(offset + 1, offset + m + 1))
+        columns.append(labels if i == 0 else labels[::-1])
+        offset += m
+    return columns
+
+
 def build_from_sign_columns(sign_columns):
     """Build a diagram from explicit per-crossing signs.
 
@@ -135,16 +150,7 @@ def build_from_sign_columns(sign_columns):
     if not sign_columns or any(not col for col in sign_columns):
         raise ValueError("every column needs at least one crossing")
     k = len(sign_columns)
-    columns = []      # labels top->bottom
-    offset = 0
-    for i, col in enumerate(sign_columns):
-        m = len(col)
-        if i == 0:
-            labels = list(range(1, m + 1))
-        else:
-            labels = list(range(offset + m, offset, -1))
-        columns.append(labels)
-        offset += m
+    columns = column_labels(map(len, sign_columns))
 
     crossings = {}
     for col, signs in zip(columns, sign_columns):
@@ -180,10 +186,8 @@ def build_diagram(spec):
     for v in spec:
         if not isinstance(v, int) or v == 0:
             raise ValueError("pretzel entries must be nonzero integers")
-    d = build_from_sign_columns(
+    return build_from_sign_columns(
         [[1 if v > 0 else -1] * abs(v) for v in spec])
-    d.spec = spec
-    return d
 
 
 @dataclass

@@ -1,48 +1,30 @@
-"""Letter tables and the end-to-end invariant pipeline.
+"""Spec-level invariants, the letter tables and the differential stencils.
 
-Table 1 sends activity letters to Kauffman-bracket weights in A; summing
-the evaluated words over all spanning trees (equivalently, expanding the
-matrix permanent) gives the bracket exactly, and the writhe factor
-(-A^-3)^w turns it into the Jones polynomial.  Table 2 sends letters to
-(u, v) monomials whose products give the bigraded generator count of the
-reduced odd-square complex; its Poincare polynomial is the all-positive
-permanent evaluation.
+Table 1 (``JONES_TABLE``) sends activity letters to Kauffman-bracket
+weights in A; summing the evaluated words over all spanning trees
+(equivalently, expanding the matrix permanent) gives the bracket exactly,
+and the writhe factor (-A^-3)^w turns it into the Jones polynomial.
+Table 2 (``KHOVANOV_TABLE``) sends letters to (u, v) monomials whose
+products give the bigraded generator count of the reduced odd-square
+complex; its Poincare polynomial is the all-positive permanent evaluation.
+Both tables live in ``matrix``, which evaluates over them, and are
+re-exported here.
+
+Every invariant is a function of one state (``extend``): the spec
+functions below build ``initial_state(spec)`` and delegate to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import build_diagram, trace
+from .diagram import trace
+from .extend import (initial_state, state_bracket, state_jones,
+                     state_jones_in_A, state_jones_raw,
+                     state_khovanov_poincare, state_matrix)
 from .laurent import Laurent, Laurent2, writhe_factor  # noqa: F401  (public)
-from .matrix import (
-    build_block_matrix,
-    det_value,
-    enhance,
-    expand,
-    kasteleyn_perm,
-    sign_matrix,
-)
-from .taitgraphs import build_overlay, region_name, solve_kasteleyn
-
-
-def _A(coeff, exp):
-    return Laurent.term(coeff, exp)
-
-
-#: activity letter -> bracket weight
-JONES_TABLE = {
-    "L": _A(-1, -3), "D": _A(1, 1), "l": _A(-1, 3), "d": _A(1, -1),
-    "L~": _A(-1, 3), "D~": _A(1, -1), "l~": _A(-1, -3), "d~": _A(1, 1),
-}
-
-#: activity letter -> bigraded weight
-KHOVANOV_TABLE = {
-    "L": Laurent2.term(1, 1, 1), "D": Laurent2.term(1, 0, 1),
-    "l": Laurent2.term(1, -1, 0), "d": Laurent2.one(),
-    "L~": Laurent2.term(1, -1, 0), "D~": Laurent2.one(),
-    "l~": Laurent2.term(1, 1, 0), "d~": Laurent2.one(),
-}
+from .matrix import JONES_TABLE, KHOVANOV_TABLE, expand  # noqa: F401  (tables)
+from .taitgraphs import region_name
 
 
 def gradings(word):
@@ -64,77 +46,36 @@ def gradings(word):
 
 
 # ---------------------------------------------------------------------------
-# pipeline
+# spec delegations
 
 def pipeline_matrix(spec, signed=True, enhanced=True):
     """Standard activity matrix of P(spec), optionally signed/enhanced."""
-    spec = tuple(spec)
-    m = build_block_matrix(spec)
-    if signed:
-        ov = build_overlay(spec)
-        m = sign_matrix(m, solve_kasteleyn(ov))
-    if enhanced:
-        m = enhance(m, build_diagram(spec))
-    return m
+    return state_matrix(initial_state(spec), signed, enhanced)
 
 
 def bracket(spec):
-    """Kauffman bracket of the standard diagram (knots and links alike).
-
-    Permanent route, as eps * det of the signed matrix: no writhe factor
-    and no sign slack.
-    """
-    return kasteleyn_perm(pipeline_matrix(spec, enhanced=False), JONES_TABLE)
+    """Kauffman bracket of the standard diagram (knots and links alike)."""
+    return state_bracket(initial_state(spec))
 
 
 def jones_in_A_raw(spec):
-    """Signed enhanced determinant evaluated over Table 1 (in A).
-
-    This is the Jones polynomial up to the global Kasteleyn sign; returns
-    (value, flipped) where flipped says whether normalization will negate.
-    """
-    spec = tuple(spec)
-    d = build_diagram(spec)
-    t = trace(d)
-    if t.components != 1:
-        raise ValueError(
-            "Jones route needs a knot; P%r has %d components (use the "
-            "bracket instead)" % (spec, t.components))
-    m = pipeline_matrix(spec)
-    val = det_value(m, JONES_TABLE)
-    at1 = val.at_one()
-    if at1 not in (1, -1):
-        raise RuntimeError("determinant is not a unit at A=1: %s" % at1)
-    return val, at1 == -1
+    """Signed enhanced determinant over Table 1, plus its flip flag."""
+    return state_jones_raw(initial_state(spec))
 
 
 def jones_in_A(spec):
-    """Jones polynomial in the Kauffman variable A, sign-normalized.
-
-    A knot's Jones polynomial evaluates to 1 at t=1 (A=1), which fixes the
-    global sign left over from the Kasteleyn choice.
-    """
-    val, flipped = jones_in_A_raw(spec)
-    return -val if flipped else val
+    """Jones polynomial in the Kauffman variable A, sign-normalized."""
+    return state_jones_in_A(initial_state(spec))
 
 
 def jones(spec):
     """Jones polynomial in t (A = t^(-1/4))."""
-    return jones_in_A(spec).reexpress(-4)
+    return state_jones(initial_state(spec))
 
 
 def khovanov_poincare(spec):
-    """Bigraded Poincare polynomial in (u, v); knots only.
-
-    All-positive form: each coefficient counts the spanning trees of that
-    bidegree.
-    """
-    spec = tuple(spec)
-    d = build_diagram(spec)
-    if trace(d).components != 1:
-        raise ValueError("Poincare polynomial route needs a knot")
-    return kasteleyn_perm(pipeline_matrix(spec, enhanced=False),
-                          KHOVANOV_TABLE)
+    """Bigraded Poincare polynomial in (u, v); knots only."""
+    return state_khovanov_poincare(initial_state(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +106,13 @@ class StencilReport:
 
 
 def scan_differentials(m):
-    """All 2x2 stencil instances in an unsigned, unenhanced matrix.
+    """All 2x2 stencil instances in an activity matrix.
 
     A stencil pairs one barred and one unbarred row sharing two columns;
     the diagonal and anti-diagonal completions of a matching instance are
-    the source and target of one potential differential arrow.
+    the source and target of one potential differential arrow.  Only the
+    letters are read, so any signing (and any writhe weights) gives the
+    same reports.
     """
     view = {}
     for (ri, ci), e in m.entries.items():
@@ -237,20 +180,37 @@ def stencil_word_pairs(m, reports):
 # ---------------------------------------------------------------------------
 # JSON bundle
 
+@dataclass(frozen=True)
+class Invariants:
+    """Every invariant of one state; a link has only its bracket."""
+    bracket: Laurent
+    jones_in_A: Laurent | None = None
+    poincare: Laurent2 | None = None
+    reports: list | None = None     # StencilReport
+
+    def to_json(self, spec):
+        """Machine-readable bundle; link-undefined fields are null."""
+        knot = self.jones_in_A is not None
+        return {
+            "spec": list(spec),
+            "bracket_A": self.bracket.to_pairs(),
+            "jones": self.jones_in_A.reexpress(-4).to_pairs() if knot
+            else None,
+            "khovanov_uv": self.poincare.to_pairs() if knot else None,
+            "differentials": [r.to_json() for r in self.reports] if knot
+            else None,
+        }
+
+
+def state_invariants(state):
+    """Bracket of any state; Jones, Poincare and stencils of a knot."""
+    if trace(state.diagram).components != 1:
+        return Invariants(state_bracket(state))
+    return Invariants(state_bracket(state), state_jones_in_A(state),
+                      state_khovanov_poincare(state),
+                      scan_differentials(state.matrix))
+
+
 def invariant_bundle(spec):
     """Machine-readable invariants; link-undefined fields are null."""
-    spec = tuple(spec)
-    knot = trace(build_diagram(spec)).components == 1
-    out = {
-        "spec": list(spec),
-        "bracket_A": bracket(spec).to_pairs(),
-        "jones": None,
-        "khovanov_uv": None,
-        "differentials": None,
-    }
-    if knot:
-        out["jones"] = jones(spec).to_pairs()
-        out["khovanov_uv"] = khovanov_poincare(spec).to_pairs()
-        m = pipeline_matrix(spec, signed=False, enhanced=False)
-        out["differentials"] = [r.to_json() for r in scan_differentials(m)]
-    return out
+    return state_invariants(initial_state(spec)).to_json(spec)

@@ -1,6 +1,15 @@
-"""Grow a matrix/diagram pair by local moves without rebuilding.
+"""Grown states: a signed activity matrix with its live diagram, the local
+moves that grow them, and every invariant of a state.
 
-Each operation splices one crossing into the diagram **and** appends the
+``initial_state(spec)`` is the only place a pretzel spec becomes a matrix
+and a diagram; the spec functions in ``evaluate`` and every CLI command
+start from it.  Each invariant is one function of a state: the bracket,
+the Jones polynomial (its knot check, the unit check at A = 1 and the
+V(1) = 1 sign normalisation live in ``state_jones_raw`` and
+``normalized``), the Poincare polynomial and the matrix views ``matrix``
+prints.
+
+Each move splices one crossing into the diagram **and** appends the
 matching row/column to the activity matrix, so invariants of the larger
 object come out of the same determinant/permanent machinery with no fresh
 global construction.  Four moves:
@@ -28,9 +37,9 @@ from dataclasses import dataclass
 
 from .activities import split_token, token
 from .diagram import Crossing, Diagram, build_diagram, trace
-from .evaluate import JONES_TABLE
-from .matrix import (ActivityMatrix, Column, Entry, build_block_matrix,
-                     det_value, enhance, kasteleyn_perm, sign_matrix)
+from .matrix import (JONES_TABLE, KHOVANOV_TABLE, ActivityMatrix, Column,
+                     Entry, build_block_matrix, det_value, enhance,
+                     kasteleyn_perm, sign_matrix, unsign)
 from .taitgraphs import build_overlay, solve_kasteleyn
 
 
@@ -277,7 +286,17 @@ def apply_moves(state, names):
 
 
 # ---------------------------------------------------------------------------
-# evaluating a grown state
+# invariants of a state
+
+def state_matrix(state, signed, enhanced):
+    """The state's matrix as the ``matrix`` command prints it.
+
+    Kasteleyn-signed, or with every sign reset to 1; with writhe weights
+    when enhanced (knots only, ValueError on a link).
+    """
+    m = state.matrix if signed else unsign(state.matrix)
+    return enhance(m, state.diagram) if enhanced else m
+
 
 def state_bracket(state):
     """Kauffman bracket via the permanent; works for links too."""
@@ -285,29 +304,49 @@ def state_bracket(state):
 
 
 def state_jones_raw(state):
-    """Signed enhanced determinant of a grown knot state, plus flip flag.
+    """Signed enhanced determinant of a knot state, plus flip flag.
 
-    Re-traces the surgered diagram for the writhe, so the correction is
-    always the diagram's own, never an assumption about the move.
+    Traces the diagram for the writhe, so the correction is always the
+    diagram's own, never an assumption about a move.  Returns (value,
+    flipped), where flipped says whether normalization will negate.
     """
     t = trace(state.diagram)
     if t.components != 1:
         raise ValueError("Jones route needs a knot; this state traces "
                          "%d components" % t.components)
-    m = enhance(state.matrix, state.diagram)
-    val = det_value(m, JONES_TABLE)
+    val = det_value(enhance(state.matrix, state.diagram), JONES_TABLE)
     at1 = val.at_one()
     if at1 not in (1, -1):
         raise RuntimeError("determinant is not a unit at A=1: %s" % at1)
     return val, at1 == -1
 
 
-def state_jones_in_A(state):
-    """Sign-normalized Jones polynomial (in A) of a grown knot state."""
-    val, flipped = state_jones_raw(state)
+def normalized(raw):
+    """The Jones value of a state_jones_raw pair.
+
+    A knot's Jones polynomial evaluates to 1 at t = 1 (A = 1), which fixes
+    the global sign left over from the Kasteleyn choice.
+    """
+    val, flipped = raw
     return -val if flipped else val
 
 
+def state_jones_in_A(state):
+    """Sign-normalized Jones polynomial (in A) of a knot state."""
+    return normalized(state_jones_raw(state))
+
+
 def state_jones(state):
-    """Jones polynomial in t of a grown knot state."""
+    """Jones polynomial in t (A = t^(-1/4)) of a knot state."""
     return state_jones_in_A(state).reexpress(-4)
+
+
+def state_khovanov_poincare(state):
+    """Bigraded Poincare polynomial in (u, v) of a knot state.
+
+    All-positive form: each coefficient counts the spanning trees of that
+    bidegree.
+    """
+    if trace(state.diagram).components != 1:
+        raise ValueError("Poincare polynomial route needs a knot")
+    return kasteleyn_perm(state.matrix, KHOVANOV_TABLE)

@@ -174,9 +174,6 @@ class Laurent:
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
 
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
-
     # -- change of variable ------------------------------------------------
 
     def reexpress(self, ratio):

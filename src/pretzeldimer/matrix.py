@@ -14,8 +14,9 @@ decorations: Kasteleyn signs (det = +-perm afterwards) and per-row writhe
 weights (multiplying the evaluation by (-A^-3)^writhe).
 
 The invariants never expand: det_value eliminates (fraction-free, exact
-over Z[A^+-1]) and kasteleyn_perm reads the permanent off the signed
-determinant.  expand and perm_value enumerate every term; they serve
+over Z[A^+-1]) over a letter table (JONES_TABLE in A, KHOVANOV_TABLE in
+(u, v), both defined here) and kasteleyn_perm reads the permanent off the
+signed determinant.  expand and perm_value enumerate every term; they serve
 word-level questions and are the slow route elimination is checked
 against.  The enumeration cuts the branches a column's last candidate
 row rules out and reads each parity off the cycle lengths, so on pretzel
@@ -35,7 +36,7 @@ import json
 from dataclasses import dataclass
 
 from .activities import split_token, token
-from .diagram import trace
+from .diagram import column_labels, trace
 from .laurent import Laurent, Laurent2, writhe_factor
 from .taitgraphs import BOT, bigon, region_name, strip
 
@@ -86,68 +87,42 @@ class ActivityMatrix:
         return out
 
 
-def _column_blocks(spec):
-    """[(column index, [labels top->bottom])] plus offsets, like the diagram."""
-    blocks = []
-    offset = 0
-    for ci, v in enumerate(spec, start=1):
-        m = abs(v)
-        blocks.append((ci, m, offset))
-        offset += m
-    return blocks
-
-
 def build_block_matrix(spec):
     """Activity matrix straight from the twist-column block pattern.
 
-    Block i contributes |ni|-1 internal columns (L on the diagonal, D just
-    below); the bottom-deck column takes L at the end of column 1 and D at
-    the first row of every later block; strip column i takes l at the first
-    row of block i and d throughout the rest of blocks i and i+1.
+    Rows follow the diagram's labels (diagram.column_labels).  Each twist
+    column contributes one internal column per bigon, L at the lower of its
+    two crossings and D at the higher, ordered by the lower label; the
+    bottom-deck column takes L at the bottom of column 1 and D at the
+    bottom of every later column; strip column i takes l at the lowest
+    label of twist columns i and i+1 and d at the rest of both.
     """
     spec = tuple(spec)
-    k = len(spec)
-    blocks = _column_blocks(spec)
-    n = sum(m for _, m, _ in blocks)
-    rows = list(range(1, n + 1))
-    barred = {}
-    for (ci, m, offset), v in zip(blocks, spec):
-        for label in range(offset + 1, offset + m + 1):
-            barred[label] = v < 0
-
+    layout = column_labels(map(abs, spec))
+    barred = {label: v < 0 for labels, v in zip(layout, spec)
+              for label in labels}
     columns = []
     entries = {}
 
-    def put(label, ci, letter):
-        entries[(label - 1, ci)] = Entry(token(letter, barred[label]))
+    def add(kind, region, cells):
+        ci = len(columns)
+        columns.append(Column(kind, region))
+        for label, letter in cells:
+            entries[(label - 1, ci)] = Entry(token(letter, barred[label]))
 
-    for ci, m, offset in blocks:
-        for j in range(1, m):
-            region = bigon(ci, j) if ci == 1 else bigon(ci, m - j)
-            col = len(columns)
-            columns.append(Column("internal", region))
-            put(offset + j, col, "L")
-            put(offset + j + 1, col, "D")
+    for ci, labels in enumerate(layout, start=1):
+        pairs = sorted((min(a, b), max(a, b), p)
+                       for p, (a, b) in enumerate(zip(labels, labels[1:]), 1))
+        for live, dead, p in pairs:
+            add("internal", bigon(ci, p), ((live, "L"), (dead, "D")))
+    bots = [labels[-1] for labels in layout]
+    add("internal", BOT, [(bots[0], "L")] + [(b, "D") for b in bots[1:]])
+    for i in range(1, len(spec)):
+        live, *dead = sorted(layout[i - 1] + layout[i])
+        add("external", strip(i), [(live, "l")] + [(d, "d") for d in dead])
 
-    col = len(columns)
-    columns.append(Column("internal", BOT))
-    first_m = blocks[0][1]
-    put(first_m, col, "L")
-    for ci, m, offset in blocks[1:]:
-        put(offset + 1, col, "D")
-
-    for i in range(1, k):
-        col = len(columns)
-        columns.append(Column("external", strip(i)))
-        ci_l, m_l, off_l = blocks[i - 1]
-        ci_r, m_r, off_r = blocks[i]
-        put(off_l + 1, col, "l")
-        for label in range(off_l + 2, off_l + m_l + 1):
-            put(label, col, "d")
-        for label in range(off_r + 1, off_r + m_r + 1):
-            put(label, col, "d")
-
-    return ActivityMatrix(rows=rows, columns=columns, entries=entries)
+    return ActivityMatrix(rows=list(range(1, len(barred) + 1)),
+                          columns=columns, entries=entries)
 
 
 def build_graph_matrix(overlay, ranks=None):
@@ -193,6 +168,14 @@ def sign_matrix(m, edge_signs):
         for (ri, ci), e in out.entries.items()
     }
     out.signed = True
+    return out
+
+
+def unsign(m):
+    """The matrix with every Kasteleyn sign reset to 1."""
+    out = m.copy()
+    out.entries = {k: Entry(e.tok) for k, e in out.entries.items()}
+    out.signed = False
     return out
 
 
@@ -250,7 +233,9 @@ def _all_terms(m):
     row ri has passed, no later row can take a column whose last candidate
     row is ri.  In a square matrix every term uses every column, so such a
     column, if still free, must be taken at row ri, and two of them mean
-    the branch holds no term at all.
+    the branch holds no term at all.  The search keeps its own stack, one
+    iterator of open choices per row, so its depth is not bounded by
+    Python's recursion limit.
     """
     n = m.n
     if len(m.columns) != n:
@@ -265,37 +250,53 @@ def _all_terms(m):
     for ci, ri in last.items():
         ending[ri].append(ci)
     used = [False] * n
-    pick = []
     terms = []
 
-    def rec(ri):
-        if ri == n:
-            cols = tuple(ci for ci, _ in pick)
-            terms.append(Term(
-                cols=cols,
-                word=tuple(e.tok for _, e in pick),
-                parity=_parity(cols),
-                ksign=_prod_signs(pick),
-            ))
-            return
-        forced = [ci for ci in ending[ri] if not used[ci]]
-        if len(forced) > 1:
-            return
-        for ci, e in cands[ri]:
-            if not used[ci] and (not forced or ci == forced[0]):
-                used[ci] = True
-                pick.append((ci, e))
-                rec(ri + 1)
-                pick.pop()
-                used[ci] = False
+    def options(ri):
+        """Candidates row ri may take, given the columns rows above took."""
+        forced = None
+        for ci in ending[ri]:
+            if not used[ci]:
+                if forced is not None:
+                    return iter(())
+                forced = ci
+        if forced is None:
+            return iter([c for c in cands[ri] if not used[c[0]]])
+        return iter([c for c in cands[ri] if c[0] == forced])
 
-    rec(0)
+    pick = [None] * n                 # (column, entry) taken by each row
+    todo = [None] * n                 # each open row's untried candidates
+    todo[0] = options(0)
+    ri = 0
+    while True:
+        for choice in todo[ri]:
+            break
+        else:                         # row exhausted: back up one row
+            if ri == 0:
+                break
+            ri -= 1
+            used[pick[ri][0]] = False
+            continue
+        used[choice[0]] = True
+        pick[ri] = choice
+        if ri + 1 < n:
+            ri += 1
+            todo[ri] = options(ri)
+            continue
+        cols, ents = zip(*pick)
+        terms.append(Term(
+            cols=cols,
+            word=tuple([e.tok for e in ents]),
+            parity=_parity(cols),
+            ksign=_prod_signs(ents),
+        ))
+        used[choice[0]] = False
     return terms
 
 
-def _prod_signs(pick):
+def _prod_signs(entries):
     s = 1
-    for _, e in pick:
+    for e in entries:
         s *= e.sign
     return s
 
@@ -324,6 +325,26 @@ def expand(m, check_duplicates=True):
 
 def word_multiset(m):
     return sorted(t.word for t in expand(m))
+
+
+# ---------------------------------------------------------------------------
+# letter tables
+
+#: activity letter -> Kauffman-bracket weight (Table 1)
+JONES_TABLE = {
+    "L": Laurent.term(-1, -3), "D": Laurent.term(1, 1),
+    "l": Laurent.term(-1, 3), "d": Laurent.term(1, -1),
+    "L~": Laurent.term(-1, 3), "D~": Laurent.term(1, -1),
+    "l~": Laurent.term(-1, -3), "d~": Laurent.term(1, 1),
+}
+
+#: activity letter -> bigraded (u, v) weight (Table 2)
+KHOVANOV_TABLE = {
+    "L": Laurent2.term(1, 1, 1), "D": Laurent2.term(1, 0, 1),
+    "l": Laurent2.term(1, -1, 0), "d": Laurent2.one(),
+    "L~": Laurent2.term(1, -1, 0), "D~": Laurent2.one(),
+    "l~": Laurent2.term(1, 1, 0), "d~": Laurent2.one(),
+}
 
 
 def _ring(m, table):

@@ -13,7 +13,9 @@ Two slow routes, each independent of what it checks:
 
 from __future__ import annotations
 
+from .activities import tree_words
 from .laurent import Laurent, writhe_factor
+from .matrix import JONES_TABLE
 
 
 def tree_expansion_bracket(g):
@@ -22,8 +24,6 @@ def tree_expansion_bracket(g):
     Bypasses the matrix entirely: enumerate the trees of the signed Tait
     graph, evaluate each activity word, add up.
     """
-    from .activities import tree_words
-
     return words_bracket(w for _, w in tree_words(g))
 
 
@@ -33,8 +33,6 @@ def words_bracket(words):
     Every Table-1 letter is a monomial +-A^k, so each word weighs one
     monomial too: its sign and exponent are summed as plain integers.
     """
-    from .evaluate import JONES_TABLE
-
     weights = {tok: next(iter(p.coeffs.items()))
                for tok, p in JONES_TABLE.items()}
     total = {}

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import build_diagram
+from .diagram import column_labels
 
 TOP = ("deck", "top")
 BOT = ("deck", "bot")
@@ -53,17 +53,12 @@ def region_name(r):
     return "s%d" % (r[1],)
 
 
-def _column_layout(spec):
-    """[(column index, [labels top->bottom]), ...] reusing diagram labelling."""
-    return build_diagram(spec).columns
-
-
 def corner_regions(spec):
     """For each crossing the regions at its N, S, W, E corners."""
     spec = tuple(spec)
     k = len(spec)
     out = {}
-    for ci, labels in enumerate(_column_layout(spec), start=1):
+    for ci, labels in enumerate(column_labels(map(abs, spec)), start=1):
         m = len(labels)
         west = OUT if ci == 1 else strip(ci - 1)
         east = OUT if ci == k else strip(ci)
@@ -110,8 +105,7 @@ def build_tait(spec):
         for p in range(1, abs(v)):
             vertices.append(bigon(ci, p))
     edges = {}
-    for ci, (labels, v) in enumerate(
-            zip(_column_layout(spec), spec), start=1):
+    for labels, v in zip(column_labels(map(abs, spec)), spec):
         s = 1 if v > 0 else -1
         for label in labels:
             edges[label] = TaitEdge(label, corners[label]["N"],
@@ -149,7 +143,6 @@ class Overlay:
     bigons), set3 = surviving white regions (strips).  Balance:
     |set1| = |set2| + |set3|.
     """
-    spec: tuple
     crossings: list
     set2: list
     set3: list
@@ -167,16 +160,12 @@ class Overlay:
         return [r for r in (self.corners[label][c] for c in "NSWE")
                 if r not in (TOP, OUT)]
 
-    def incident_crossings(self, region):
-        return sorted(label for label in self.crossings
-                      if region in self.incident_regions(label))
-
 
 def build_overlay(spec):
     spec = tuple(spec)
     k = len(spec)
     corners = corner_regions(spec)
-    layout = _column_layout(spec)
+    layout = column_labels(map(abs, spec))
     crossings = sorted(corners)
 
     set2 = [BOT]
@@ -215,7 +204,7 @@ def build_overlay(spec):
         for label in labels:
             signs[label] = 1 if v > 0 else -1
 
-    ov = Overlay(spec=spec, crossings=crossings, set2=set2, set3=set3,
+    ov = Overlay(crossings=crossings, set2=set2, set3=set3,
                  edges=edges, corners=corners, crossing_signs=signs,
                  faces=faces)
     assert len(ov.crossings) == len(ov.set2) + len(ov.set3)

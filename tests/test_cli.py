@@ -185,6 +185,20 @@ def test_matrix_extend_renders(capsys):
     assert "-" not in out        # unsigned display by default
 
 
+def test_unsigned_matrix_json_resets_every_sign(capsys):
+    # without --signed every entry's sign reads 1, grown or not; with it
+    # the grown matrix keeps the Kasteleyn signs the move placed
+    for argv in ([], ["--extend", "subdivide"],
+                 ["--extend", "subdivide", "--enhanced"]):
+        code, out, _ = run(capsys, "matrix", "P(1,1,1)", "--json", *argv)
+        blob = json.loads(out)
+        assert code == 0 and blob["signed"] is False
+        assert {e["sign"] for e in blob["entries"]} == {1}, argv
+    code, out, _ = run(capsys, "matrix", "P(1,1,1)", "--json", "--signed",
+                       "--extend", "subdivide")
+    assert {e["sign"] for e in json.loads(out)["entries"]} == {1, -1}
+
+
 def test_verify_json_bundle(capsys):
     code, out, _ = run(capsys, "verify", "P(1,1,1)", "--json")
     blob = json.loads(out)

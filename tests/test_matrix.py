@@ -367,13 +367,17 @@ def test_expansion_matches_reference_on_odd_matrices():
 
 
 def expansion_calls(m):
-    """(terms, calls of the expansion's recursive step) for one expand."""
+    """(terms, nodes of the expansion's search tree) for one expand.
+
+    The search opens each row it reaches with one call of its ``options``
+    step; the leaves are the terms.
+    """
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         code = frame.f_code
-        if event == "call" and code.co_name == "rec" \
+        if event == "call" and code.co_name == "options" \
                 and code.co_filename.endswith("matrix.py"):
             calls += 1
 
@@ -382,7 +386,7 @@ def expansion_calls(m):
         terms = expand(m)
     finally:
         sys.setprofile(None)
-    return len(terms), calls
+    return len(terms), calls + len(terms)
 
 
 @pytest.mark.parametrize("spec", [(-2, 3, 41), (-2, 5, 21), (3, -3, 3, 3),
@@ -395,3 +399,19 @@ def test_expansion_explores_no_dead_branches(spec):
         terms, calls = expansion_calls(m)
         assert terms > 0
         assert m.n < calls <= terms * (m.n + 1), (spec, terms, calls)
+
+
+def test_expansion_is_not_bounded_by_the_recursion_limit():
+    # one search level per row: a recursive search dies once the rows
+    # outnumber the recursion limit, as khovanov P(-2,3,985) once did
+    limit = sys.getrecursionlimit()
+    spec = (-2, 3, 401)
+    m = build_block_matrix(spec)
+    sys.setrecursionlimit(200)
+    try:
+        assert m.n > 2 * sys.getrecursionlimit()
+        terms = expand(m)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(terms) == 3 * 401 + 2 * 401 + 2 * 3
+    assert terms == sorted(terms, key=lambda t: t.cols)

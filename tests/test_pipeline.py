@@ -1,0 +1,112 @@
+"""Guards on the shape of the pipeline rather than its values.
+
+* Every name the benchmark harness reaches into (the names in
+  perfbench/tracer.py's buckets and those perfbench/make_golden.py
+  imports) still resolves.
+* One command builds one state: a call counter around the constructors
+  pins how often ``verify`` and ``jones`` build the diagram, the overlay,
+  the Kasteleyn signs and the matrix, and how often they eliminate.
+"""
+import ast
+import contextlib
+import importlib
+import importlib.util
+import io
+import pathlib
+import sys
+from collections import Counter
+
+import pytest
+
+from pretzeldimer.cli import main
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tracer_buckets():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.BUCKETS
+
+
+def _golden_imports():
+    tree = ast.parse((PERFBENCH / "make_golden.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.startswith("pretzeldimer"):
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_benchmark_names_resolve():
+    names = [("pretzeldimer." + module, name)
+             for funcs in _tracer_buckets().values()
+             for module, name in funcs]
+    golden = list(_golden_imports())
+    assert golden, "make_golden.py imports nothing from pretzeldimer"
+    for module, name in names + golden:
+        assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+#: module -> constructors and eliminations whose calls are counted
+COUNTED = {
+    "diagram": ("build_diagram",),
+    "taitgraphs": ("build_overlay", "solve_kasteleyn"),
+    "matrix": ("build_block_matrix", "det_value"),
+}
+
+
+def count_calls(monkeypatch, argv):
+    """Exit code and per-function call counts of one in-process command."""
+    counts = Counter()
+    namespaces = [m for n, m in sorted(sys.modules.items())
+                  if n == "pretzeldimer" or n.startswith("pretzeldimer.")]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, names in COUNTED.items():
+        owner = importlib.import_module("pretzeldimer." + module)
+        for name in names:
+            original = getattr(owner, name)
+            wrapper = counted(name, original)
+            for ns in namespaces:
+                for attr, value in list(vars(ns).items()):
+                    if value is original:
+                        monkeypatch.setattr(ns, attr, wrapper)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, counts
+
+
+def test_verify_json_builds_one_state(monkeypatch):
+    code, counts = count_calls(monkeypatch, ["verify", "--json", "P(-2,3,7)"])
+    assert code == 0
+    assert counts["build_diagram"] == 1
+    assert counts["build_block_matrix"] == 1
+    # once for the state, once for verify's own constructor and sign checks
+    assert counts["build_overlay"] <= 2
+    assert counts["solve_kasteleyn"] <= 2
+    # the bracket, the Jones polynomial and the Poincare polynomial
+    assert counts["det_value"] == 3
+
+
+def test_verify_json_on_a_link_eliminates_once(monkeypatch):
+    code, counts = count_calls(monkeypatch, ["verify", "--json", "P(2,2)"])
+    assert code == 0
+    assert counts["det_value"] == 1
+
+
+@pytest.mark.parametrize("argv", [["jones", "P(-2,3,7)"],
+                                  ["khovanov", "P(-2,3,7)"],
+                                  ["matrix", "P(-2,3,7)", "--enhanced"]])
+def test_commands_build_one_diagram(monkeypatch, argv):
+    code, counts = count_calls(monkeypatch, argv)
+    assert code == 0
+    assert counts["build_diagram"] == 1
+    assert counts["build_block_matrix"] == 1
