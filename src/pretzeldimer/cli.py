@@ -24,7 +24,7 @@ import sys
 
 from .activities import tree_words
 from .diagram import parse_spec, trace
-from .evaluate import scan_differentials, state_invariants, stencil_word_pairs
+from .evaluate import scan_differentials, state_invariants, stencil_pair_counts
 from .extend import (MOVES, apply_moves, initial_state, normalized,
                      state_bracket, state_jones_raw, state_khovanov_poincare,
                      state_matrix)
@@ -226,9 +226,8 @@ def cmd_khovanov(spec, args):
     print("total %d generators" % total)
     if not reports:
         print("no differential stencils found")
-    for r, pairs in zip(reports, stencil_word_pairs(m, reports)):
+    for r, npairs in zip(reports, stencil_pair_counts(m, reports)):
         blob = r.to_json(names=True)
-        npairs = len(pairs)
         print("differential: rows (%d, %d)  columns (%s, %s)  stencil %s  "
               "(%d word pair%s)"
               % (blob["rows"][0], blob["rows"][1], blob["cols"][0],

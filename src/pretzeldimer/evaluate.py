@@ -12,6 +12,12 @@ re-exported here.
 
 Every invariant is a function of one state (``extend``): the spec
 functions below build ``initial_state(spec)`` and delegate to it.
+
+The differential stencils are scanned off the matrix letters.  Their word
+pairs are counted without expansion, each as the determinant of a
+Kasteleyn-signed minor (``stencil_pair_counts``); ``stencil_word_pairs``
+lists the pairs themselves by expanding every term, and is the slow route
+the counts are checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .extend import (initial_state, state_bracket, state_jones,
                      state_jones_in_A, state_jones_raw,
                      state_khovanov_poincare, state_matrix)
 from .laurent import Laurent, Laurent2, writhe_factor  # noqa: F401  (public)
-from .matrix import JONES_TABLE, KHOVANOV_TABLE, expand  # noqa: F401  (tables)
+from .matrix import (JONES_TABLE, KHOVANOV_TABLE,  # noqa: F401  (tables)
+                     ActivityMatrix, det_value, expand)
 from .taitgraphs import region_name
 
 
@@ -175,6 +182,45 @@ def stencil_word_pairs(m, reports):
                 anti[masked(t.cols)] = t.word
         out.append([(diag[k], anti[k]) for k in sorted(set(diag) & set(anti))])
     return out
+
+
+#: every letter -> 1, so a determinant over it counts signed permutations
+_ONES = dict.fromkeys(JONES_TABLE, Laurent.one())
+
+
+def stencil_pair_counts(m, reports):
+    """The number of expansion word pairs of each stencil report.
+
+    A pair is a term through the stencil's diagonal and one through its
+    anti-diagonal that agree on every other row, so the pairs of a report
+    are the perfect matchings of the minor left after deleting the
+    stencil's two rows and two columns.  In a Kasteleyn-signed matrix every
+    term of that minor carries the same sign (Kenyon 1997, "Local
+    statistics of lattice dimers", with Jacobi's complementary-minor
+    identity), so the count is |det| of the signed minor, evaluated with
+    every letter sent to 1.  Equal to the lengths of ``stencil_word_pairs``,
+    which enumerates the terms; the matrix must be Kasteleyn-signed.
+    """
+    if not m.signed:
+        raise ValueError("stencil_pair_counts needs a Kasteleyn-signed matrix")
+    cidx = {c.region: ci for ci, c in enumerate(m.columns)}
+    counts = []
+    for report in reports:
+        drop_rows = {m.rows.index(label) for label in report.rows}
+        drop_cols = {cidx[region] for region in report.cols}
+        keep_rows = [ri for ri in range(m.n) if ri not in drop_rows]
+        keep_cols = [ci for ci in range(len(m.columns)) if ci not in drop_cols]
+        rpos = {ri: i for i, ri in enumerate(keep_rows)}
+        cpos = {ci: i for i, ci in enumerate(keep_cols)}
+        minor = ActivityMatrix(
+            rows=[m.rows[ri] for ri in keep_rows],
+            columns=[m.columns[ci] for ci in keep_cols],
+            entries={(rpos[ri], cpos[ci]): e
+                     for (ri, ci), e in m.entries.items()
+                     if ri in rpos and ci in cpos},
+            signed=True)
+        counts.append(abs(det_value(minor, _ONES).at_one()))
+    return counts
 
 
 # ---------------------------------------------------------------------------

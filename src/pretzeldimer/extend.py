@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from .activities import split_token, token
 from .diagram import Crossing, Diagram, build_diagram, trace
+from .laurent import writhe_factor
 from .matrix import (JONES_TABLE, KHOVANOV_TABLE, ActivityMatrix, Column,
                      Entry, build_block_matrix, det_value, enhance,
                      kasteleyn_perm, sign_matrix, unsign)
@@ -306,15 +307,16 @@ def state_bracket(state):
 def state_jones_raw(state):
     """Signed enhanced determinant of a knot state, plus flip flag.
 
-    Traces the diagram for the writhe, so the correction is always the
-    diagram's own, never an assumption about a move.  Returns (value,
+    The signed determinant times (-A^-3)^writhe.  One trace of the diagram
+    gives both the knot check and the writhe, so the correction is always
+    the diagram's own, never an assumption about a move.  Returns (value,
     flipped), where flipped says whether normalization will negate.
     """
     t = trace(state.diagram)
     if t.components != 1:
         raise ValueError("Jones route needs a knot; this state traces "
                          "%d components" % t.components)
-    val = det_value(enhance(state.matrix, state.diagram), JONES_TABLE)
+    val = det_value(state.matrix, JONES_TABLE) * writhe_factor(t.writhe)
     at1 = val.at_one()
     if at1 not in (1, -1):
         raise RuntimeError("determinant is not a unit at A=1: %s" % at1)

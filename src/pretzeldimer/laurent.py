@@ -21,6 +21,73 @@ def _super(mapping, other):
     return out
 
 
+def _mul(a, b):
+    """Product of two one-variable coefficient dicts, as a new dict.
+
+    A monomial factor only shifts and scales the other's terms, so that
+    case skips the double loop; over Z no product of nonzero terms is zero.
+    """
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        (e0, c0), = b.items()
+        return {e + e0: c * c0 for e, c in a.items()}
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            c = out.get(e, 0) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return out
+
+
+def _div(num, den):
+    """The quotient num / den of two coefficient dicts, in Z[X^+-1].
+
+    Long division from the top exponent down; a remainder, or a
+    coefficient the divisor's leading coefficient does not divide, raises
+    ValueError.  Fraction-free elimination relies on every one of its
+    divisions being exact, so a remainder means a wrong pivot.  den must
+    be nonzero.
+    """
+    if not num:
+        return {}
+    if len(den) == 1:
+        (e0, c0), = den.items()
+        out = {}
+        for e, c in num.items():
+            q, r = divmod(c, c0)
+            if r:
+                raise ValueError("inexact Laurent division")
+            out[e - e0] = q
+        return out
+    top, low = max(den), min(den)
+    lead = den[top]
+    rem = dict(num)
+    out = {}
+    for e in range(max(rem) - top, min(rem) - low - 1, -1):
+        c = rem.get(e + top)
+        if not c:
+            continue
+        q, r = divmod(c, lead)
+        if r:
+            raise ValueError("inexact Laurent division")
+        out[e] = q
+        for ed, cd in den.items():
+            k = e + ed
+            v = rem.get(k, 0) - q * cd
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    if rem:
+        raise ValueError("inexact Laurent division")
+    return out
+
+
 def _wrap(cls, coeffs):
     # arithmetic results are already normalised: int keys, no zero values
     out = object.__new__(cls)
@@ -80,16 +147,7 @@ class Laurent:
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-        return _wrap(Laurent, out)
+        return _wrap(Laurent, _mul(self.coeffs, other.coeffs))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -114,47 +172,11 @@ class Laurent:
     def exact_div(self, other):
         """The quotient self / other, which must lie in Z[X^+-1].
 
-        Long division from the top exponent down; a remainder, or a
-        coefficient the divisor's leading coefficient does not divide,
-        raises ValueError.  Fraction-free elimination relies on every one of
-        its divisions being exact, so a remainder means a wrong pivot.
+        See ``_div``; a remainder raises ValueError.
         """
         if not other.coeffs:
             raise ZeroDivisionError("Laurent division by zero")
-        if not self.coeffs:
-            return Laurent()
-        den = other.coeffs
-        if len(den) == 1:
-            (e0, c0), = den.items()
-            out = {}
-            for e, c in self.coeffs.items():
-                q, r = divmod(c, c0)
-                if r:
-                    raise ValueError("inexact Laurent division")
-                out[e - e0] = q
-            return _wrap(Laurent, out)
-        top, low = max(den), min(den)
-        lead = den[top]
-        rem = dict(self.coeffs)
-        out = {}
-        for e in range(max(rem) - top, min(rem) - low - 1, -1):
-            c = rem.get(e + top)
-            if not c:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                raise ValueError("inexact Laurent division")
-            out[e] = q
-            for ed, cd in den.items():
-                k = e + ed
-                v = rem.get(k, 0) - q * cd
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        if rem:
-            raise ValueError("inexact Laurent division")
-        return _wrap(Laurent, out)
+        return _wrap(Laurent, _div(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         return isinstance(other, Laurent) and self.coeffs == other.coeffs

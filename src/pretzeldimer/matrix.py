@@ -14,13 +14,15 @@ decorations: Kasteleyn signs (det = +-perm afterwards) and per-row writhe
 weights (multiplying the evaluation by (-A^-3)^writhe).
 
 The invariants never expand: det_value eliminates (fraction-free, exact
-over Z[A^+-1]) over a letter table (JONES_TABLE in A, KHOVANOV_TABLE in
-(u, v), both defined here) and kasteleyn_perm reads the permanent off the
-signed determinant.  expand and perm_value enumerate every term; they serve
-word-level questions and are the slow route elimination is checked
-against.  The enumeration cuts the branches a column's last candidate
-row rules out and reads each parity off the cycle lengths, so on pretzel
-matrices it costs about terms x n, but the number of terms grows
+over Z[A^+-1], unit pivots normalised, on raw {exponent: coefficient}
+dicts) over a letter table (JONES_TABLE in A, KHOVANOV_TABLE in (u, v),
+both defined here) and kasteleyn_perm reads the permanent off the signed
+determinant.  The same kernel counts perfect matchings of signed minors
+(evaluate.stencil_pair_counts).  expand and perm_value enumerate every
+term; they serve word-level questions and are the slow route elimination
+is checked against.  The enumeration cuts the branches a column's last
+candidate row rules out and reads each parity off the cycle lengths, so on
+pretzel matrices it costs about terms x n, but the number of terms grows
 exponentially with the number of twist columns.
 
 The row order matters: clean activity words come from the standard
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 from .activities import split_token, token
 from .diagram import column_labels, trace
-from .laurent import Laurent, Laurent2, writhe_factor
+from .laurent import Laurent, Laurent2, _div, _mul, writhe_factor
 from .taitgraphs import BOT, bigon, region_name, strip
 
 
@@ -226,6 +228,12 @@ def _parity(cols):
     return 1 if even else -1
 
 
+def _require_square(m):
+    if len(m.columns) != m.n:
+        raise ValueError("expansion needs a square matrix, got %d x %d"
+                         % (m.n, len(m.columns)))
+
+
 def _all_terms(m):
     """Depth-first over the rows, candidate columns in ascending order.
 
@@ -238,9 +246,7 @@ def _all_terms(m):
     Python's recursion limit.
     """
     n = m.n
-    if len(m.columns) != n:
-        raise ValueError("expansion needs a square matrix, got %d x %d"
-                         % (n, len(m.columns)))
+    _require_square(m)
     cands = _row_candidates(m)
     ending = [[] for _ in range(n)]   # row -> columns it is the last row of
     last = {}
@@ -383,83 +389,122 @@ def perm_value(m, table):
     return total
 
 
-def _bareiss(rows, n):
-    """Determinant of a sparse n x n matrix over Z[A^+-1].
+#: the pivot of a normalised unit step, and the divisor before the first step
+_ONE = {0: 1}
 
-    rows[i] maps column -> nonzero Laurent entry; the rows are consumed.
-    Fraction-free elimination (Bareiss 1968): step k pivots column k on
-    the candidate row with the shortest entry, and updates every later row
-    as a[i][j] <- (p_k a[i][j] - a[i][k] a[k][j]) / p_(k-1), each division
-    exact.  A row with nothing in column k only gets scaled by p_k/p_(k-1),
-    so it is left alone and brought up to date lazily, in one exact
-    division, the next time it is touched.
+
+def _eliminate(rows, n):
+    """Determinant of a sparse n x n matrix over Z[A^+-1], as a coefficient
+    dict.
+
+    rows[i] maps column -> {exponent: coefficient}; the rows and their
+    entries are consumed (updated in place).  Fraction-free elimination
+    (Bareiss 1968) that normalises unit pivots.  Step k pivots column k on
+    a unit entry +-A^e when one exists, otherwise on the shortest entry.
+
+    * Non-unit pivot p: every later row with an entry a in column k becomes
+      a[i][j] <- (p a[i][j] - a a[k][j]) / p_(k-1), each division exact (a
+      remainder raises ValueError).  A row with nothing in column k only
+      gets scaled by p / p_(k-1), so it is left alone and brought up to
+      date lazily, in one exact division, the next time it is touched.
+    * Unit pivot u: the pivot row counts as multiplied by u^-1 (an
+      exponent shift and a sign, folded into a running unit factor), so
+      p_k = 1.  That is done by shifting each row's multiplier a instead
+      of the pivot row.  When p_(k-1) = 1 too, the step is the in-place
+      update a[i][j] -= (a / u) a[k][j]: no multiplication by p, no
+      division, and no row is left to rescale.
     """
     order = list(range(n))        # row at each position; k.. still active
     stamp = [0] * n               # row i is current as of step stamp[i]
-    piv = [Laurent.one()]         # piv[k] = divisor of step k = p_(k-1)
-    sign = 1
+    piv = [_ONE]                  # piv[k] = divisor of step k = p_(k-1)
+    shift, sign = 0, 1            # the unit factor sign * A^shift
 
     def current(r, k):
         s = stamp[r]
-        if s != k and piv[s] != piv[k]:
+        if piv[s] != piv[k]:
             num, den = piv[k], piv[s]
-            rows[r] = {j: (a * num).exact_div(den) for j, a in rows[r].items()}
+            rows[r] = {j: _div(_mul(a, num), den) for j, a in rows[r].items()}
         stamp[r] = k
 
     for k in range(n):
         best = None
         for pos in range(k, n):
             r = order[pos]
-            if k in rows[r]:
+            if k not in rows[r]:
+                continue
+            if stamp[r] != k:
                 current(r, k)
-                size = len(rows[r][k].coeffs)
-                if best is None or size < best[0]:
-                    best = (size, pos)
+            a = rows[r][k]
+            if len(a) == 1 and abs(next(iter(a.values()))) == 1:
+                best = (0, pos)
+                break
+            if best is None or len(a) < best[0]:
+                best = (len(a), pos)
         if best is None:
-            return Laurent.zero()
+            return {}
         pos = best[1]
         if pos != k:
             order[k], order[pos] = order[pos], order[k]
             sign = -sign
         prow = rows[order[k]]
         p = prow.pop(k)
+        pe = None
+        if not best[0]:               # p = pc * A^pe, folded into the factor
+            (pe, pc), = p.items()
+            shift += pe
+            sign *= pc
+            p = _ONE
         prev = piv[k]
         for r in order[k + 1:]:
-            row = rows[r]
-            a = row.pop(k, None)
-            if a is None:
+            if k not in rows[r]:
                 continue
-            new = {}
-            for j in row.keys() | prow.keys():
-                x = row.get(j)
-                y = prow.get(j)
-                v = x * p if x is not None else Laurent.zero()
-                if y is not None:
-                    v = v - a * y
-                if v:
-                    new[j] = v.exact_div(prev)
-            rows[r] = new
+            if stamp[r] != k:
+                current(r, k)
+            row = rows[r]
+            if pe is None:
+                a = {e: -c for e, c in row.pop(k).items()}
+            else:                     # divided by the unit pivot, negated
+                a = {e - pe: -c * pc for e, c in row.pop(k).items()}
+            if p is not _ONE:
+                for j, x in row.items():
+                    row[j] = _mul(x, p)
+            for j, y in prow.items():
+                t = row.get(j)
+                if t is None:
+                    row[j] = _mul(a, y)
+                    continue
+                for e, c in _mul(a, y).items():
+                    v = t.get(e, 0) + c
+                    if v:
+                        t[e] = v
+                    else:
+                        del t[e]
+                if not t:
+                    del row[j]
+            if prev is not _ONE:
+                for j, x in row.items():
+                    row[j] = _div(x, prev)
             stamp[r] = k + 1
         piv.append(p)
-    return piv[n] if sign > 0 else -piv[n]
+    return {e + shift: c * sign for e, c in piv[n].items()}
 
 
-def _kronecker(table, n):
-    """Laurent2 letter table as one-variable table, plus the decoder.
+def _kronecker(coeffs, n):
+    """Two-variable letter coefficients as one-variable ones, plus the decoder.
 
     (u, v) -> x^(u + B v) with B = 2 U n + 1, where U bounds |u| over the
     letters: every word of n letters then has |u| <= U n < B / 2, so each
     monomial of the determinant decodes to exactly one (u, v).
     """
-    bound = n * max((abs(u) for p in table.values() for u, _ in p.coeffs),
+    bound = n * max((abs(u) for p in coeffs.values() for u, _ in p),
                     default=0)
     base = 2 * bound + 1
-    flat = {tok: Laurent({u + base * v: c for (u, v), c in p.coeffs.items()})
-            for tok, p in table.items()}
+    flat = {tok: {u + base * v: c for (u, v), c in p.items()}
+            for tok, p in coeffs.items()}
 
-    def decode(poly):
+    def decode(det):
         out = {}
-        for e, c in poly.coeffs.items():
+        for e, c in det.items():
             v = (e + bound) // base
             out[(e - base * v, v)] = c
         return Laurent2(out)
@@ -470,23 +515,30 @@ def _kronecker(table, n):
 def det_value(m, table):
     """Determinant of the matrix (signed if m.signed) over a letter table.
 
-    Computed by fraction-free elimination, never by term expansion; with
-    writhe weights (m.enhanced) it is multiplied by (-A^-3)^writhe.
-    Two-variable tables go through a Kronecker substitution.
+    Computed by elimination (``_eliminate``), never by term expansion, on
+    the raw coefficient dicts of the table values: each entry's is copied
+    once, negated for a -1 Kasteleyn sign, and one polynomial is made from
+    the result.  With writhe weights (m.enhanced) it is multiplied by
+    (-A^-3)^writhe.  Two-variable tables go through a Kronecker
+    substitution.  A non-square matrix raises ValueError.
     """
+    _require_square(m)
     ring = _ring(m, table)
+    coeffs = {tok: val.coeffs for tok, val in table.items()}
     decode = None
     if ring is Laurent2:
-        table, decode = _kronecker(table, m.n)
+        coeffs, decode = _kronecker(coeffs, m.n)
     rows = [{} for _ in range(m.n)]
     for (ri, ci), e in m.entries.items():
-        val = table[e.tok]
+        val = coeffs[e.tok]
         if m.signed and e.sign < 0:
-            val = -val
-        rows[ri][ci] = val
-    total = _bareiss(rows, m.n)
+            rows[ri][ci] = {x: -c for x, c in val.items()}
+        else:
+            rows[ri][ci] = dict(val)
+    det = _eliminate(rows, m.n)
     if decode is not None:
-        return decode(total)
+        return decode(det)
+    total = Laurent(det)
     if m.enhanced:
         total = total * writhe_factor(sum(m.row_weights.values()))
     return total
@@ -536,13 +588,13 @@ def kasteleyn_perm(m, table):
     """
     if not m.signed:
         raise ValueError("kasteleyn_perm needs a Kasteleyn-signed matrix")
+    total = det_value(m, table)       # refuses a non-square matrix
     cols = _perfect_matching(m)
-    if cols is None:
-        return _ring(m, table).zero()
+    if cols is None:                  # no term: the determinant is 0
+        return total
     eps = _parity(cols)
     for ri, ci in enumerate(cols):
         eps *= m.entries[(ri, ci)].sign
-    total = det_value(m, table)
     return total if eps > 0 else -total
 
 

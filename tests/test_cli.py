@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -214,6 +215,20 @@ def test_khovanov_report(capsys):
     assert out.startswith("P(-2,3,3): u^-2v^4 + u^-2v^5 + 2u^-1v^4")
     assert "total 21 generators" in out
     assert "rows (2, 3)  columns (s1, B)  stencil d~L~/dD" in out
+
+
+#: seconds khovanov may take on P(-2,3,5^7), whose stencil has 78 125 pairs
+#: (about 30 s when the pairs were counted by expanding every term)
+STENCIL_COUNT_BUDGET_S = 5
+
+
+def test_khovanov_counts_stencil_pairs_without_expanding(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "khovanov", "P(-2,3,5,5,5,5,5,5,5)")
+    took = time.perf_counter() - t0
+    assert code == 0
+    assert out.endswith("stencil d~L~/dD  (78125 word pairs)\n")
+    assert took < STENCIL_COUNT_BUDGET_S
 
 
 def test_khovanov_json(capsys):

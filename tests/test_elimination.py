@@ -4,19 +4,29 @@ det_value computes determinants by fraction-free elimination and
 kasteleyn_perm turns them into permanents through the global Kasteleyn
 sign; expand and perm_value enumerate every permutation term.  The two
 must agree exactly across the whole desk sweep, on grown states, and on a
-matrix with duplicate words.
+matrix with duplicate words.  The elimination kernel is also held to a
+Leibniz sum on seeded matrices whose entries are not units, and the
+stencil pair counts, which are determinants of minors, to the word pairs
+the expansion lists.
 """
 import itertools
+import math
 import random
 import time
 
+import pytest
+
 from pretzeldimer.diagram import build_diagram, trace
-from pretzeldimer.evaluate import JONES_TABLE, KHOVANOV_TABLE, pipeline_matrix
+from pretzeldimer.evaluate import (JONES_TABLE, KHOVANOV_TABLE,
+                                   pipeline_matrix, scan_differentials,
+                                   stencil_pair_counts, stencil_word_pairs)
 from pretzeldimer.extend import MOVES, apply_moves, initial_state
-from pretzeldimer.laurent import Laurent
-from pretzeldimer.matrix import (build_graph_matrix, det_value, enhance,
+from pretzeldimer.laurent import Laurent, Laurent2
+from pretzeldimer.matrix import (ActivityMatrix, Column, Entry,
+                                 build_graph_matrix, det_value, enhance,
                                  expand, kasteleyn_perm, perm_value,
                                  sign_matrix)
+from pretzeldimer.taitgraphs import BOT
 from pretzeldimer.taitgraphs import build_overlay, solve_kasteleyn
 
 BUDGET_S = 60
@@ -95,3 +105,191 @@ def test_elimination_matches_expansion_with_duplicate_words():
     m = enhance(m, build_diagram((-2, 3, 3)))
     expected = signed_term_sum(m, JONES_TABLE, check_duplicates=False)
     assert det_value(m, JONES_TABLE) == expected * kink(m)
+
+
+# ---------------------------------------------------------------------------
+# the kernel on entries that are not units
+
+def L(*pairs):
+    return Laurent(dict(pairs))
+
+
+#: non-unit entries, with units and small integers among them so that
+#: the two kinds of pivot mix (2 * 2 - 3 * 1 leaves a unit after a
+#: non-unit step)
+POOL_A = [L((1, 2)), L((0, -3)), L((0, 1), (1, 1)), L((1, 1), (-1, -1)),
+          L((0, 2), (2, -1)), L((-2, 1)), L((0, -1)), L((3, 4), (0, 1)),
+          L((0, 2)), L((0, 3))]
+POOL_UV = [Laurent2(c) for c in (
+    {(1, 0): 2}, {(0, 0): -3}, {(0, 0): 1, (0, 1): 1},
+    {(1, 0): 1, (0, -1): -1}, {(1, 1): 1}, {(-1, 2): -1},
+    {(0, 0): 2, (2, -1): 3}, {(0, 0): 1}, {(0, 0): 2}, {(0, 0): 3})]
+
+
+def fixed_matrices(ring):
+    """Hand-made matrices whose second pivot is a unit after a non-unit one.
+
+    Column 0 holds no unit, so step 0 pivots on 2 (on 2x in the second
+    matrix); the update leaves 2 * 2 - 3 * 1 = 1 (2x * 2 - 3 * x = x), a
+    unit, in column 1 for step 1, and a third row for that step to update
+    over a non-unit divisor.
+    """
+    def c(v, e=0):
+        return ring({(e, 0) if ring is Laurent2 else e: v})
+
+    one, two, three = c(1), c(2), c(3)
+    x, x_inv = c(1, 1), c(1, -1)
+    return [
+        [{0: two, 1: one}, {0: three, 1: two, 2: one}, {1: one, 2: one}],
+        [{0: c(2, 1), 1: x}, {0: three, 1: two, 2: one},
+         {1: x_inv, 2: one + x}],
+    ]
+
+
+def leibniz(rows, n, ring):
+    """Sum over every permutation of its sign times its entries' product."""
+    total = ring.zero()
+    for perm in itertools.permutations(range(n)):
+        term = ring.one()
+        for ri, ci in enumerate(perm):
+            x = rows[ri].get(ci)
+            if x is None:
+                break
+            term = term * x
+        else:
+            inv = sum(1 for i in range(n) for j in range(i + 1, n)
+                      if perm[i] > perm[j])
+            total = total + (-term if inv & 1 else term)
+    return total
+
+
+def random_matrix(rng, pool):
+    """A seeded square matrix of pool entries, n <= 7, with cancellations.
+
+    Some rows are a pool multiple of an earlier row with at most one entry
+    changed, so elimination fills in entries that cancel to zero and the
+    determinant is often 0.
+    """
+    n = rng.randint(1, 7)
+    density = rng.choice((0.4, 0.7, 1.0))
+    rows = []
+    for ri in range(n):
+        if rows and rng.random() < 0.3:
+            f = rng.choice(pool)
+            row = {ci: x * f for ci, x in rng.choice(rows).items()}
+            if rng.random() < 0.5:
+                row[rng.randrange(n)] = rng.choice(pool)
+        else:
+            row = {ci: rng.choice(pool) for ci in range(n)
+                   if rng.random() < density}
+        rows.append(row)
+    return rows
+
+
+def as_matrix(rows, n, rng=None):
+    """An ActivityMatrix over a table with one letter per entry, with
+    Kasteleyn signs drawn from rng (all +1 without one), and the entries
+    those signs give."""
+    table = {}
+    entries = {}
+    signed = []
+    for ri, row in enumerate(rows):
+        srow = {}
+        for ci, x in row.items():
+            tok = "x%d" % len(table)
+            table[tok] = x
+            sign = rng.choice((1, -1)) if rng else 1
+            entries[(ri, ci)] = Entry(tok, sign)
+            srow[ci] = x if sign > 0 else -x
+        signed.append(srow)
+    m = ActivityMatrix(rows=list(range(1, n + 1)),
+                       columns=[Column("internal", ("c", ci))
+                                for ci in range(n)],
+                       entries=entries, signed=True)
+    return m, table, signed
+
+
+#: seconds the seeded kernel comparison may take
+KERNEL_BUDGET_S = 60
+
+
+@pytest.mark.parametrize("pool", [POOL_A, POOL_UV], ids=["A", "uv"])
+def test_elimination_matches_leibniz_on_non_unit_entries(pool):
+    t0 = time.perf_counter()
+    ring = type(pool[0])
+    rng = random.Random(7070)
+    zeros = 0
+    cases = [(rows, None) for rows in fixed_matrices(ring)] + \
+        [(random_matrix(rng, pool), rng) for _ in range(150)]
+    for rows, signs in cases:
+        n = len(rows)
+        m, table, signed = as_matrix(rows, n, signs)
+        if not table:
+            continue
+        want = leibniz(signed, n, ring)
+        assert det_value(m, table) == want, rows
+        zeros += not want
+    assert zeros > 10                 # cancellation to zero was exercised
+    assert time.perf_counter() - t0 < KERNEL_BUDGET_S
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_det_value_refuses_non_square_matrix(shape):
+    nrows, ncols = shape
+    m = ActivityMatrix(
+        rows=list(range(1, nrows + 1)),
+        columns=[Column("internal", BOT) for _ in range(ncols)],
+        entries={(ri, ci): Entry("L", 1) for ri in range(nrows)
+                 for ci in range(ncols) if ri == ci},
+        signed=True)
+    with pytest.raises(ValueError, match="square"):
+        det_value(m, JONES_TABLE)
+    with pytest.raises(ValueError, match="square"):
+        kasteleyn_perm(m, JONES_TABLE)
+
+
+# ---------------------------------------------------------------------------
+# stencil pair counts by minors against the listed word pairs
+
+#: seconds each pair-count comparison may take
+PAIR_COUNT_BUDGET_S = 60
+
+
+def check_pair_counts(m):
+    reports = scan_differentials(m)
+    assert stencil_pair_counts(m, reports) == \
+        [len(pairs) for pairs in stencil_word_pairs(m, reports)]
+    return len(reports)
+
+
+def test_pair_counts_match_word_pairs_on_desk_sweep():
+    t0 = time.perf_counter()
+    reports = sum(check_pair_counts(initial_state(spec).matrix)
+                  for spec in desk_sweep())
+    assert reports == 5272
+    assert time.perf_counter() - t0 < PAIR_COUNT_BUDGET_S
+
+
+def test_pair_counts_match_word_pairs_up_to_nine_columns():
+    t0 = time.perf_counter()
+    rng = random.Random(9090)
+    reports = 0
+    for k in range(5, 10):
+        checked = 0
+        while checked < 8:
+            spec = tuple(rng.choice((1, -1)) * rng.randint(1, 3)
+                         for _ in range(k))
+            terms = sum(math.prod(abs(v) for j, v in enumerate(spec) if j != i)
+                        for i in range(k))
+            if terms > 3000:          # the word pairs expand every term
+                continue
+            reports += check_pair_counts(initial_state(spec).matrix)
+            checked += 1
+    assert reports > 0
+    assert time.perf_counter() - t0 < PAIR_COUNT_BUDGET_S
+
+
+def test_pair_counts_need_a_signed_matrix():
+    m = pipeline_matrix((-2, 3, 3), signed=False, enhanced=False)
+    with pytest.raises(ValueError, match="Kasteleyn"):
+        stencil_pair_counts(m, scan_differentials(m))

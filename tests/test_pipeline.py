@@ -5,7 +5,8 @@
   imports) still resolves.
 * One command builds one state: a call counter around the constructors
   pins how often ``verify`` and ``jones`` build the diagram, the overlay,
-  the Kasteleyn signs and the matrix, and how often they eliminate.
+  the Kasteleyn signs and the matrix, how often they trace the diagram,
+  and how often they eliminate.
 """
 import ast
 import contextlib
@@ -50,9 +51,9 @@ def test_benchmark_names_resolve():
         assert hasattr(importlib.import_module(module), name), (module, name)
 
 
-#: module -> constructors and eliminations whose calls are counted
+#: module -> constructors, traces and eliminations whose calls are counted
 COUNTED = {
-    "diagram": ("build_diagram",),
+    "diagram": ("build_diagram", "trace"),
     "taitgraphs": ("build_overlay", "solve_kasteleyn"),
     "matrix": ("build_block_matrix", "det_value"),
 }
@@ -94,12 +95,21 @@ def test_verify_json_builds_one_state(monkeypatch):
     assert counts["solve_kasteleyn"] <= 2
     # the bracket, the Jones polynomial and the Poincare polynomial
     assert counts["det_value"] == 3
+    # verify's own, then the bundle's, Jones and Poincare knot checks
+    assert counts["trace"] <= 4
 
 
 def test_verify_json_on_a_link_eliminates_once(monkeypatch):
     code, counts = count_calls(monkeypatch, ["verify", "--json", "P(2,2)"])
     assert code == 0
     assert counts["det_value"] == 1
+
+
+def test_jones_traces_once(monkeypatch):
+    # the knot check's trace also gives the writhe
+    code, counts = count_calls(monkeypatch, ["jones", "P(-2,3,7)"])
+    assert code == 0
+    assert counts["trace"] == 1
 
 
 @pytest.mark.parametrize("argv", [["jones", "P(-2,3,7)"],
