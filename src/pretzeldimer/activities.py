@@ -46,7 +46,8 @@ def spanning_trees(g):
     Returns a list of tuples of edge labels; the include-branch is explored
     first, so the order is deterministic.  The components live in one
     union-find (union by rank, no path compression) whose merge is undone
-    when the include-branch returns.
+    when the include-branch is left.  The search keeps its own stack, so
+    its depth is not bounded by the recursion limit.
     """
     labels = sorted(g.edges)
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -61,16 +62,28 @@ def spanning_trees(g):
             x = parent[x]
         return x
 
-    def rec(i, count):
+    # (edge index, components left) visits a branch; (ru, rv, bump)
+    # leaves an include-branch, undoing its merge
+    stack = [(0, len(index))]
+    while stack:
+        top = stack.pop()
+        if len(top) == 3:
+            ru, rv, bump = top
+            chosen.pop()
+            parent[ru] = ru
+            if bump:
+                rank[rv] -= 1
+            continue
+        i, count = top
         if count == 1:
             results.append(tuple(chosen))
-            return
+            continue
         if i == len(labels) or count - 1 > len(labels) - i:
-            return
+            continue
         ru, rv = find(ends[i][0]), find(ends[i][1])
         if ru == rv:
-            rec(i + 1, count)
-            return
+            stack.append((i + 1, count))
+            continue
         if rank[ru] > rank[rv]:
             ru, rv = rv, ru
         parent[ru] = rv
@@ -78,14 +91,9 @@ def spanning_trees(g):
         if bump:
             rank[rv] += 1
         chosen.append(labels[i])
-        rec(i + 1, count - 1)
-        chosen.pop()
-        parent[ru] = ru
-        if bump:
-            rank[rv] -= 1
-        rec(i + 1, count)
-
-    rec(0, len(index))
+        stack.append((i + 1, count))          # exclude, after the undo
+        stack.append((ru, rv, bump))
+        stack.append((i + 1, count - 1))      # include, first
     return results
 
 

@@ -134,7 +134,7 @@ def cmd_verify(spec, args):
     terms = expand(signed)
     words = sorted(t.word for t in terms)
     twords = [w for _, w in tree_words(g)]
-    inv = state_invariants(st)
+    inv = state_invariants(st, traced)
 
     checks = []
     checks.append(("block and graph constructors agree",

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import trace
-from .extend import (initial_state, state_bracket, state_jones,
-                     state_jones_in_A, state_jones_raw,
+from .extend import (initial_state, normalized, state_bracket,
+                     state_jones, state_jones_in_A, state_jones_raw,
                      state_khovanov_poincare, state_matrix)
 from .laurent import Laurent, Laurent2, writhe_factor  # noqa: F401  (public)
 from .matrix import (JONES_TABLE, KHOVANOV_TABLE,  # noqa: F401  (tables)
@@ -248,12 +248,19 @@ class Invariants:
         }
 
 
-def state_invariants(state):
-    """Bracket of any state; Jones, Poincare and stencils of a knot."""
-    if trace(state.diagram).components != 1:
+def state_invariants(state, traced=None):
+    """Bracket of any state; Jones, Poincare and stencils of a knot.
+
+    One trace of the diagram serves every knot check; pass it as traced
+    when the caller already holds it.
+    """
+    if traced is None:
+        traced = trace(state.diagram)
+    if traced.components != 1:
         return Invariants(state_bracket(state))
-    return Invariants(state_bracket(state), state_jones_in_A(state),
-                      state_khovanov_poincare(state),
+    return Invariants(state_bracket(state),
+                      normalized(state_jones_raw(state, traced)),
+                      state_khovanov_poincare(state, traced),
                       scan_differentials(state.matrix))
 
 

@@ -304,15 +304,16 @@ def state_bracket(state):
     return kasteleyn_perm(state.matrix, JONES_TABLE)
 
 
-def state_jones_raw(state):
+def state_jones_raw(state, traced=None):
     """Signed enhanced determinant of a knot state, plus flip flag.
 
     The signed determinant times (-A^-3)^writhe.  One trace of the diagram
     gives both the knot check and the writhe, so the correction is always
-    the diagram's own, never an assumption about a move.  Returns (value,
-    flipped), where flipped says whether normalization will negate.
+    the diagram's own, never an assumption about a move; pass it as traced
+    when the caller already holds it.  Returns (value, flipped), where
+    flipped says whether normalization will negate.
     """
-    t = trace(state.diagram)
+    t = trace(state.diagram) if traced is None else traced
     if t.components != 1:
         raise ValueError("Jones route needs a knot; this state traces "
                          "%d components" % t.components)
@@ -343,12 +344,14 @@ def state_jones(state):
     return state_jones_in_A(state).reexpress(-4)
 
 
-def state_khovanov_poincare(state):
+def state_khovanov_poincare(state, traced=None):
     """Bigraded Poincare polynomial in (u, v) of a knot state.
 
     All-positive form: each coefficient counts the spanning trees of that
-    bidegree.
+    bidegree.  traced is the diagram's trace, when the caller holds it.
     """
-    if trace(state.diagram).components != 1:
+    if traced is None:
+        traced = trace(state.diagram)
+    if traced.components != 1:
         raise ValueError("Poincare polynomial route needs a knot")
     return kasteleyn_perm(state.matrix, KHOVANOV_TABLE)

@@ -1,10 +1,12 @@
 """Independent cross-checks for the matrix pipeline.
 
-Two slow routes, each independent of what it checks:
+Two routes, each independent of what it checks:
 
 * the state sum uses nothing but the diagram's port wiring (no
   checkerboard graphs, activities or matrices), so it can referee
-  disagreements anywhere downstream;
+  disagreements anywhere downstream.  It sums the 2^n smoothings in
+  groups, scanning the diagram crossing by crossing, so its cost is
+  polynomial in n on pretzel diagrams;
 * the tree expansion enumerates the spanning trees of the signed Tait
   graph and adds up the Table-1 weights of their activity words, so it
   checks the activity matrix, its expansion and its determinant without
@@ -14,6 +16,7 @@ Two slow routes, each independent of what it checks:
 from __future__ import annotations
 
 from .activities import tree_words
+from .diagram import CORNERS
 from .laurent import Laurent, writhe_factor
 from .matrix import JONES_TABLE
 
@@ -60,71 +63,69 @@ _SMOOTHINGS = {
 
 
 def state_sum_bracket(diagram):
-    """Kauffman bracket by brute force over all 2^n smoothings.
+    """Kauffman bracket as a state sum, scanned crossing by crossing.
 
     <L> = sum over states A^(a-b) * delta^(loops-1), delta = -A^2 - A^-2.
-    Each arc of the diagram is contracted to one node; a state's smoothing
-    pairings then join arcs into its loops.  The states are enumerated
-    depth-first over the crossings on one union-find (union by rank, no
-    path compression), each crossing's two pairings undone on the way back.
+    The states are summed, not visited (the scanning idea of Bar-Natan
+    2007, "Fast Khovanov homology computations").  Crossings are processed
+    in label order, which is column by column on standard builds.  An arc
+    is open while one of its ports has been processed and the other has
+    not; the smoothings chosen so far join the open arcs into groups.  One
+    exact tally of A^(a-b) * delta^loops is kept per grouping, keyed by the
+    open arcs' group numbers in order of first appearance.  A crossing
+    applies its A and B pairings to every grouping; an arc whose ports are
+    all processed retires, and a group that loses its last arc closes one
+    loop.  The empty grouping is all that is left at the end, and its
+    tally divided once by delta is the bracket.
     """
     labels = sorted(diagram.crossings)
-    n = len(labels)
+    step_of = {label: i for i, label in enumerate(labels)}
     arc_of = {}
-    arcs = diagram.arc_list()
-    for i, (p, q) in enumerate(arcs):
+    retire_at = []        # arc id -> step that processes its last port
+    for i, (p, q) in enumerate(diagram.arc_list()):
         arc_of[p] = arc_of[q] = i
-    # per crossing: (A-smoothing pairs, B-smoothing pairs) as arc ids
-    smooth = []
-    for label in labels:
-        byname = _SMOOTHINGS[diagram.crossings[label].over]
-        smooth.append(tuple(
-            tuple((arc_of[(label, a)], arc_of[(label, b)])
-                  for a, b in byname[kind])
-            for kind in ("A", "B")))
-
-    size = len(arcs)
-    parent = list(range(size))
-    rank = [0] * size
-    counts = {}   # (a_minus_b, loops) -> number of states
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def visit(i, a_count, merges):
-        if i == n:
-            key = (2 * a_count - n, size - merges)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        for kind in (0, 1):                  # 0 = A, 1 = B
-            undo = []
-            for x, y in smooth[i][kind]:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    if rank[rx] > rank[ry]:
-                        rx, ry = ry, rx
-                    parent[rx] = ry
-                    bump = rank[rx] == rank[ry]
-                    if bump:
-                        rank[ry] += 1
-                    undo.append((rx, ry, bump))
-            visit(i + 1, a_count + 1 - kind, merges + len(undo))
-            for rx, ry, bump in reversed(undo):
-                parent[rx] = rx
-                if bump:
-                    rank[ry] -= 1
-
-    visit(0, 0, 0)
+        retire_at.append(max(step_of[p[0]], step_of[q[0]]))
 
     delta = Laurent({2: -1, -2: -1})
-    max_loops = max(l for _, l in counts)
-    delta_pow = [Laurent.one()]
-    for _ in range(max_loops):
-        delta_pow.append(delta_pow[-1] * delta)
+    # weight[kind][loops]: A^(+-1) * delta^loops, 0 = A, 1 = B; the two
+    # pairings of one crossing close at most two groups
+    weight = [[Laurent.term(1, shift) * delta ** loops for loops in range(3)]
+              for shift in (1, -1)]
+    frontier = []         # open arcs, in the order they opened
+    tallies = {(): Laurent.one()}
+    for step, label in enumerate(labels):
+        slot = {a: i for i, a in enumerate(frontier)}
+        slots = list(frontier)
+        for corner in CORNERS:
+            a = arc_of[(label, corner)]
+            if a not in slot:
+                slot[a] = len(slots)
+                slots.append(a)
+        byname = _SMOOTHINGS[diagram.crossings[label].over]
+        pairs = [[(slot[arc_of[(label, x)]], slot[arc_of[(label, y)]])
+                  for x, y in byname[kind]] for kind in ("A", "B")]
+        ports = [slot[arc_of[(label, c)]] for c in CORNERS]
+        keep = [i for i, a in enumerate(slots) if retire_at[a] != step]
+        # arcs opening here get group numbers no grouping uses yet
+        fresh = list(range(len(frontier), len(slots)))
+        frontier = [slots[i] for i in keep]
 
-    total = Laurent.zero()
-    for (exp, loops), mult in counts.items():
-        total = total + Laurent.term(mult, exp) * delta_pow[loops - 1]
-    return total
+        scanned = {}
+        for key, tally in tallies.items():
+            for kind in (0, 1):
+                group = list(key) + fresh
+                for x, y in pairs[kind]:
+                    gx, gy = group[x], group[y]
+                    if gx != gy:
+                        group = [gx if g == gy else g for g in group]
+                left = {group[i] for i in keep}
+                loops = len({group[i] for i in ports} - left)
+                number = {}
+                grouping = tuple(number.setdefault(group[i], len(number))
+                                 for i in keep)
+                term = tally * weight[kind][loops]
+                if grouping in scanned:
+                    term = scanned[grouping] + term
+                scanned[grouping] = term
+        tallies = scanned
+    return tallies[()].exact_div(delta)

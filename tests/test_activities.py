@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -302,3 +303,21 @@ def test_rollback_trees_match_reference_on_desk_sweep():
             trees += len(got)
     assert trees == 2 * 181760
     assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
+
+
+def test_trees_are_not_bounded_by_the_recursion_limit():
+    # one search level per edge: a recursive search dies once the edges
+    # outnumber the recursion limit, as P(-2,3,995) once did
+    limit = sys.getrecursionlimit()
+    spec = (-2, 3, 401)
+    g = build_tait(spec)
+    sys.setrecursionlimit(200)
+    try:
+        assert len(g.edges) > 2 * sys.getrecursionlimit()
+        trees = spanning_trees(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(trees) == tree_count_formula(spec)
+    assert all(len(t) == len(g.vertices) - 1 for t in trees)
+    # include-first in ascending edge order lists the trees in sorted order
+    assert trees == sorted(set(trees))

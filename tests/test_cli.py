@@ -134,6 +134,16 @@ def test_verify_ok_exits_0(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_scans_the_state_sum(capsys):
+    # 24 crossings: 2^24 states, summed rather than visited
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "P(-2,3,19)")
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    assert "P(-2,3,19): 24 crossings" in out
+    assert "all checks passed" in out
+
+
 def test_verify_link_skips_jones(capsys):
     code, out, _ = run(capsys, "verify", "P(2,2)")
     assert code == 0

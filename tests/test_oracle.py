@@ -3,7 +3,8 @@ import random
 import time
 
 from pretzeldimer.diagram import build_diagram, trace
-from pretzeldimer.extend import MOVES, apply_moves, initial_state
+from pretzeldimer.extend import (MOVES, apply_moves, initial_state,
+                                 state_bracket)
 from pretzeldimer.laurent import Laurent
 from pretzeldimer.oracle import state_sum_bracket
 
@@ -185,4 +186,42 @@ def test_rollback_state_sum_matches_reference_on_move_chains():
         used.update(chain)
         checked += 1
     assert used == set(MOVES)
+    assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
+
+
+def random_spec(rng, k, knot):
+    """Pretzel spec with k columns and at most about 400 crossings.
+
+    All entries odd with k odd is a knot, and so is exactly one even
+    entry; two even entries, or all odd with k even, make a link.
+    """
+    n = rng.randint(k, 400)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    sizes = [(b - a) | 1 for a, b in zip([0] + cuts, cuts + [n])]
+    if knot:
+        evens = 0 if k % 2 else 1
+    else:
+        evens = 1 if k == 1 else rng.choice([0, 2] if k % 2 == 0 else [2])
+    for i in rng.sample(range(k), evens):
+        sizes[i] += 1
+    return tuple(rng.choice((1, -1)) * m for m in sizes)
+
+
+def test_state_sum_matches_determinant_on_large_specs():
+    # the scan against the Kasteleyn determinant (epsilon * det), far past
+    # the sizes the per-state reference can reach
+    t0 = time.perf_counter()
+    rng = random.Random(1987)
+    seen = {True: 0, False: 0}
+    largest = 0
+    ks = [25, 25] + [rng.randint(1, 25) for _ in range(10)]
+    for i, k in enumerate(ks):
+        spec = random_spec(rng, k, knot=i % 2 == 0)
+        d = build_diagram(spec)
+        assert (trace(d).components == 1) == (i % 2 == 0), spec
+        assert state_sum_bracket(d) == state_bracket(initial_state(spec)), spec
+        seen[i % 2 == 0] += 1
+        largest = max(largest, d.n)
+    assert seen == {True: 6, False: 6}
+    assert largest > 300
     assert time.perf_counter() - t0 < REFERENCE_BUDGET_S

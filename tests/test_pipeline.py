@@ -95,8 +95,8 @@ def test_verify_json_builds_one_state(monkeypatch):
     assert counts["solve_kasteleyn"] <= 2
     # the bracket, the Jones polynomial and the Poincare polynomial
     assert counts["det_value"] == 3
-    # verify's own, then the bundle's, Jones and Poincare knot checks
-    assert counts["trace"] <= 4
+    # verify's own trace serves the bundle's Jones and Poincare knot checks
+    assert counts["trace"] == 1
 
 
 def test_verify_json_on_a_link_eliminates_once(monkeypatch):
