@@ -16,6 +16,8 @@ a sum over these words.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 BASE_LETTERS = ("L", "D", "l", "d")
 
 
@@ -97,66 +99,110 @@ def spanning_trees(g):
     return results
 
 
+#: the four tokens of an edge, unbarred and barred, in code order
+_EDGE_TOKENS = {barred: [token(letter, barred) for letter in BASE_LETTERS]
+                for barred in (False, True)}
+
+
+class _WordSetup(NamedTuple):
+    """What every tree's word needs from the graph, built once per graph.
+
+    Edges are numbered by rank: position p holds the p-th edge of the
+    ranking, so ranks compare as positions and the word lists positions
+    0, 1, ...  Vertices are numbered by their place in g.vertices.  A
+    letter is coded as 4 p + (0 L, 1 D, 2 l, 3 d), so "| 1" turns a live
+    letter into the dead one.
+    """
+    where: dict        # edge label -> position
+    ends: list         # position -> (vertex index, vertex index)
+    nbrs: list         # vertex index -> [(vertex index, position), ...]
+    tokens: list       # letter code -> token
+    outside: list      # position -> code of its l, each word's start
+
+
+def _word_setup(g, ranks):
+    order = sorted(g.edges, key=ranks.__getitem__) if ranks else sorted(g.edges)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    xs = [g.edges[e] for e in order]
+    ends = [(index[x.u], index[x.v]) for x in xs]
+    nbrs = [[] for _ in index]
+    for p, (a, b) in enumerate(ends):
+        nbrs[a].append((b, p))
+        nbrs[b].append((a, p))
+    return _WordSetup({e: p for p, e in enumerate(order)}, ends, nbrs,
+                      [tok for x in xs for tok in _EDGE_TOKENS[x.sign < 0]],
+                      list(range(2, 4 * len(order), 4)))
+
+
+def _tree_word(setup, tree):
+    """The activity word of one spanning tree, from the graph's setup.
+
+    One pass by cut/cycle duality: root the tree at vertex 0, then walk
+    each non-tree edge f up its tree path to the lowest common ancestor.
+    Each tree edge e met there decides one letter: f is dead when e ranks
+    below it (f is not lowest in its cycle), otherwise e is dead (f is in
+    the fundamental cut of e and ranks below it).  Every other letter is
+    live.
+    """
+    where, ends, nbrs, tokens, outside = setup
+    code = outside[:]
+    intree = bytearray(len(ends))
+    for e in tree:
+        p = where[e]
+        intree[p] = 1
+        code[p] -= 2                  # l becomes L
+    nv = len(nbrs)
+    depth = [-1] * nv
+    parent = [0] * nv             # vertex -> parent vertex
+    up = [0] * nv                 # vertex -> position of its parent edge
+    depth[0] = 0
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        dy = depth[x] + 1
+        for y, p in nbrs[x]:
+            if intree[p] and depth[y] < 0:
+                depth[y] = dy
+                parent[y] = x
+                up[y] = p
+                stack.append(y)
+    if len(tree) != nv - 1 or -1 in depth:
+        raise ValueError("not a spanning tree: %r" % (tree,))
+
+    for f, t in enumerate(intree):
+        if t:
+            continue
+        u, v = ends[f]
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            e = up[u]
+            u = parent[u]
+            if e < f:
+                code[f] |= 1
+            else:
+                code[e] |= 1
+    return tuple(map(tokens.__getitem__, code))
+
+
 def activity_word(g, tree, ranks=None):
     """The activity word of one spanning tree, letters in rank order.
 
     ranks maps edge label -> position; identity by default.  Both the
     letter choices (lowest-in-cut / lowest-in-cycle) and the position of
     each letter in the word follow the given ranking.
-
-    One pass by cut/cycle duality: root the tree once, then walk each
-    non-tree edge f up its tree path to the lowest common ancestor.  f is
-    live iff it ranks lowest on that path plus itself.  The fundamental cut
-    of a tree edge e is e plus the non-tree edges whose path covers e, so e
-    is live iff it ranks no higher than the lowest of those.
     """
-    if ranks is None:
-        ranks = {e: e for e in g.edges}
-    edges = g.edges
-    adj = {}
-    for e in tree:
-        x = edges[e]
-        adj.setdefault(x.u, []).append((x.v, e))
-        adj.setdefault(x.v, []).append((x.u, e))
-    root = g.vertices[0]
-    up = {root: None}             # vertex -> (parent vertex, tree edge)
-    depth = {root: 0}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y, e in adj.get(x, ()):
-            if y not in depth:
-                depth[y] = depth[x] + 1
-                up[y] = (x, e)
-                stack.append(y)
-
-    letters = {}
-    cover = {}                    # tree edge -> lowest rank covering it
-    tree_set = set(tree)
-    for f, x in edges.items():
-        if f in tree_set:
-            continue
-        rf = ranks[f]
-        live = True
-        u, v = x.u, x.v
-        while u != v:
-            if depth[u] < depth[v]:
-                u, v = v, u
-            u, e = up[u]
-            if ranks[e] < rf:
-                live = False
-            if rf < cover.get(e, rf + 1):
-                cover[e] = rf
-        letters[f] = token("l" if live else "d", x.sign < 0)
-    for e in tree:
-        live = e not in cover or ranks[e] <= cover[e]
-        letters[e] = token("L" if live else "D", edges[e].sign < 0)
-    return tuple(letters[e] for e in sorted(edges, key=ranks.__getitem__))
+    return _tree_word(_word_setup(g, ranks), tree)
 
 
 def tree_words(g, ranks=None):
-    """[(tree, word), ...] over all spanning trees."""
-    return [(t, activity_word(g, t, ranks)) for t in spanning_trees(g)]
+    """[(tree, word), ...] over all spanning trees, in spanning_trees order.
+
+    The graph's setup (rank order, index lists, tokens) is built once and
+    serves every tree.
+    """
+    setup = _word_setup(g, ranks)
+    return [(t, _tree_word(setup, t)) for t in spanning_trees(g)]
 
 
 # ---------------------------------------------------------------------------

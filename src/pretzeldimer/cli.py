@@ -31,7 +31,7 @@ from .extend import (MOVES, apply_moves, initial_state, normalized,
 from .laurent import writhe_factor
 from .matrix import (JONES_TABLE, build_graph_matrix, dump_json, expand,
                      pretty, word_sum)
-from .oracle import state_sum_bracket, words_bracket
+from .oracle import state_sum_bracket
 from .taitgraphs import (build_overlay, build_tait, dual_graph,
                          overlay_to_dot, solve_kasteleyn, tait_to_dot,
                          verify_kasteleyn)
@@ -130,7 +130,9 @@ def cmd_verify(spec, args):
     components = traced.components
     g = build_tait(spec)
     ov = build_overlay(spec)
-    signs = solve_kasteleyn(ov)
+    # the signs the determinant used, keyed like the overlay's edges
+    signs = {(signed.rows[ri], signed.columns[ci].region): e.sign
+             for (ri, ci), e in signed.entries.items()}
     terms = expand(signed)
     words = sorted(t.word for t in terms)
     twords = [w for _, w in tree_words(g)]
@@ -154,7 +156,7 @@ def cmd_verify(spec, args):
                    len({t.parity * t.ksign for t in terms}) == 1))
 
     notice = None
-    tree_bracket = words_bracket(twords)
+    tree_bracket = word_sum(twords, JONES_TABLE)
     if components == 1:
         ref = inv.jones_in_A
         kink = writhe_factor(traced.writhe)

@@ -23,7 +23,11 @@ term; they serve word-level questions and are the slow route elimination
 is checked against.  The enumeration cuts the branches a column's last
 candidate row rules out and reads each parity off the cycle lengths, so on
 pretzel matrices it costs about terms x n, but the number of terms grows
-exponentially with the number of twist columns.
+exponentially with the number of twist columns.  word_sum is the one sum
+of table values over a list of words, for perm_value, verify's permanent
+check and the spanning-tree oracle alike: every table value is a
+monomial, so it adds exponents and multiplies coefficients as plain
+integers.
 
 The row order matters: clean activity words come from the standard
 numbering.  A documented counterexample — reversing the labels of
@@ -35,6 +39,7 @@ mapping so that this can be demonstrated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .activities import split_token, token
@@ -363,17 +368,35 @@ def _ring(m, table):
 def word_sum(words, table):
     """Sum over the words of the product of their letters' table values.
 
-    Over the words of every term this is the permanent; perm_value and
-    verify's permanent check both take it this way.
+    Over the words of every term this is the permanent; perm_value,
+    verify's permanent check and the spanning-tree oracle all take it this
+    way.  Every table value must be a monomial c X^k (ValueError
+    otherwise), so each word weighs one monomial too: its exponent is the
+    sum of its letters' exponents and its coefficient their product, both
+    plain integers.  A two-variable table goes through the same Kronecker
+    substitution as det_value, so (u, v) exponents add as one integer.
     """
     ring = type(next(iter(table.values())))
-    total = ring.zero()
+    for tok, val in table.items():
+        if len(val.coeffs) != 1:
+            raise ValueError("word_sum needs monomial letters; %r is %s"
+                             % (tok, val))
+    coeffs = {tok: val.coeffs for tok, val in table.items()}
+    decode = None
+    if ring is Laurent2:
+        words = list(words)
+        coeffs, decode = _kronecker(coeffs, max(map(len, words), default=0))
+    exponent, coefficient = {}, {}
+    for tok, val in coeffs.items():
+        (exponent[tok], coefficient[tok]), = val.items()
+    exp_of, coeff_of = exponent.__getitem__, coefficient.__getitem__
+    total = {}
     for word in words:
-        poly = ring.one()
-        for tok in word:
-            poly = poly * table[tok]
-        total = total + poly
-    return total
+        e = sum(map(exp_of, word))
+        total[e] = total.get(e, 0) + math.prod(map(coeff_of, word))
+    if decode is not None:
+        return decode(total)
+    return Laurent(total)
 
 
 def perm_value(m, table):

@@ -10,7 +10,11 @@ Two routes, each independent of what it checks:
 * the tree expansion enumerates the spanning trees of the signed Tait
   graph and adds up the Table-1 weights of their activity words, so it
   checks the activity matrix, its expansion and its determinant without
-  using any of them.
+  using any of them.  The words come from activities.tree_words, which
+  builds the graph's rank order, index lists and letter tokens once and
+  reads each tree's word off them; the weights are summed by
+  matrix.word_sum, every Table-1 letter being a monomial +-A^k, so a word
+  costs integer additions and sign products, not polynomial products.
 """
 
 from __future__ import annotations
@@ -18,35 +22,17 @@ from __future__ import annotations
 from .activities import tree_words
 from .diagram import CORNERS
 from .laurent import Laurent, writhe_factor
-from .matrix import JONES_TABLE
+from .matrix import JONES_TABLE, word_sum
 
 
 def tree_expansion_bracket(g):
     """Kauffman bracket as a sum of Table-1 weights over spanning trees.
 
     Bypasses the matrix entirely: enumerate the trees of the signed Tait
-    graph, evaluate each activity word, add up.
+    graph, read each activity word, and sum their Table-1 weights with
+    word_sum, which uses nothing of the matrix but its letter table.
     """
-    return words_bracket(w for _, w in tree_words(g))
-
-
-def words_bracket(words):
-    """Sum of the Table-1 weights of activity words.
-
-    Every Table-1 letter is a monomial +-A^k, so each word weighs one
-    monomial too: its sign and exponent are summed as plain integers.
-    """
-    weights = {tok: next(iter(p.coeffs.items()))
-               for tok, p in JONES_TABLE.items()}
-    total = {}
-    for word in words:
-        exp, coeff = 0, 1
-        for tok in word:
-            k, c = weights[tok]
-            exp += k
-            coeff *= c
-        total[exp] = total.get(exp, 0) + coeff
-    return Laurent(total)
+    return word_sum((w for _, w in tree_words(g)), JONES_TABLE)
 
 
 def tree_expansion_jones(g, w):

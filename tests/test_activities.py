@@ -137,6 +137,16 @@ def test_rank_permutation_mechanics():
     assert words == {("L", "d", "d"), ("l", "D", "d"), ("l", "l", "D")}
 
 
+def test_activity_word_refuses_a_non_spanning_edge_set():
+    g = build_tait((-2, 3, 3))
+    tree = spanning_trees(g)[0]
+    with pytest.raises(ValueError, match="spanning tree"):
+        activity_word(g, tree[:-1])           # too few edges
+    # enough edges, but columns 1 and 2 close a cycle and miss a vertex
+    with pytest.raises(ValueError, match="spanning tree"):
+        activity_word(g, (1, 2, 3, 4, 5, 6))
+
+
 @pytest.mark.parametrize("spec", [(1, 1, 1), (-2, 3, 3), (-2, 3, 7), (3, -4, 2)])
 def test_matchings_biject_with_trees(spec):
     g = build_tait(spec)
@@ -228,10 +238,10 @@ def reference_word(g, sets, ranks):
     """Activity word from fundamental_sets: lowest in cut / lowest in cycle."""
     letters = {}
     for e, (in_tree, edges) in sets.items():
-        live = ranks[e] == min(ranks[x] for x in edges)
+        live = ranks[e] == min(map(ranks.__getitem__, edges))
         letter = ("L" if live else "D") if in_tree else ("l" if live else "d")
         letters[e] = token(letter, g.edges[e].sign < 0)
-    return tuple(letters[e] for e in sorted(g.edges, key=lambda x: ranks[x]))
+    return tuple(letters[e] for e in sorted(g.edges, key=ranks.__getitem__))
 
 
 def desk_sweep():
@@ -242,26 +252,49 @@ def desk_sweep():
             if sum(abs(v) for v in combo) <= 12]
 
 
+def _words_match_reference(spec, g, rankings):
+    """Check every tree's word, alone and batched, under each ranking;
+    returns the number of trees."""
+    identity = {e: e for e in g.edges}
+    trees = sets = None
+    for ranks in rankings:
+        batch = tree_words(g, ranks)
+        if trees is None:
+            trees = [t for t, _ in batch]
+            sets = [fundamental_sets(g, t) for t in trees]
+        assert [t for t, _ in batch] == trees
+        for t, s, (_, word) in zip(trees, sets, batch):
+            expected = reference_word(g, s, ranks or identity)
+            assert word == expected, (spec, t, ranks)
+            assert activity_word(g, t, ranks) == expected, (spec, t, ranks)
+    return len(trees)
+
+
+def _shuffled_ranks(g, rng):
+    labels = sorted(g.edges)
+    shuffled = labels[:]
+    rng.shuffle(shuffled)
+    return dict(zip(labels, shuffled))
+
+
 def test_one_pass_words_match_reference_on_desk_sweep():
     # every tree of every desk spec, under the identity ranking and under
-    # one seeded random ranking per spec
+    # one seeded random ranking per spec, through activity_word and through
+    # tree_words; the dual graph too, on a seeded twentieth of the specs
     t0 = time.perf_counter()
     rng = random.Random(404)
-    trees = 0
+    pick = random.Random(405)
+    trees = dual_trees = 0
     for spec in desk_sweep():
         g = build_tait(spec)
-        labels = sorted(g.edges)
-        shuffled = labels[:]
-        rng.shuffle(shuffled)
-        identity = {e: e for e in labels}
-        rankings = [None, dict(zip(labels, shuffled))]
-        for t in spanning_trees(g):
-            sets = fundamental_sets(g, t)
-            for ranks in rankings:
-                expected = reference_word(g, sets, ranks or identity)
-                assert activity_word(g, t, ranks) == expected, (spec, t, ranks)
-            trees += 1
+        trees += _words_match_reference(
+            spec, g, [None, _shuffled_ranks(g, rng)])
+        if pick.random() < 0.05:
+            d = dual_graph(g)
+            dual_trees += _words_match_reference(
+                spec, d, [None, _shuffled_ranks(d, pick)])
     assert trees == 181760
+    assert dual_trees > 0
     assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
 
 
@@ -303,6 +336,14 @@ def test_rollback_trees_match_reference_on_desk_sweep():
             trees += len(got)
     assert trees == 2 * 181760
     assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
+
+
+def test_tree_words_list_the_trees_in_spanning_trees_order():
+    rng = random.Random(406)
+    for spec in rng.sample(desk_sweep(), 200) + [(-2, 3, 41)]:
+        g = build_tait(spec)
+        for graph in (g, dual_graph(g)):
+            assert [t for t, _ in tree_words(graph)] == spanning_trees(graph)
 
 
 def test_trees_are_not_bounded_by_the_recursion_limit():

@@ -8,6 +8,8 @@ import pytest
 from pretzeldimer.activities import tree_words
 from pretzeldimer.extend import MOVES, apply_moves, initial_state
 from pretzeldimer.matrix import (
+    JONES_TABLE,
+    KHOVANOV_TABLE,
     ActivityMatrix,
     Column,
     Entry,
@@ -24,10 +26,11 @@ from pretzeldimer.matrix import (
     sign_matrix,
     to_json,
     word_multiset,
+    word_sum,
 )
 from pretzeldimer.diagram import build_diagram
 from pretzeldimer.evaluate import pipeline_matrix
-from pretzeldimer.laurent import Laurent
+from pretzeldimer.laurent import Laurent, Laurent2
 from pretzeldimer.taitgraphs import (
     BOT,
     bigon,
@@ -213,6 +216,66 @@ def test_singular_matrix_has_zero_det_and_perm():
     table = {tok: Laurent.term(1, 1) for tok in "LDld"}
     assert det_value(m, table) == Laurent.zero()
     assert kasteleyn_perm(m, table) == perm_value(m, table) == Laurent.zero()
+
+
+# ---------------------------------------------------------------------------
+# word_sum: monomial letters summed as integers
+
+def reference_word_sum(words, table):
+    """One ring product per letter and one ring sum per word."""
+    ring = type(next(iter(table.values())))
+    total = ring.zero()
+    for word in words:
+        poly = ring.one()
+        for tok in word:
+            poly = poly * table[tok]
+        total = total + poly
+    return total
+
+
+@pytest.mark.parametrize("table", [JONES_TABLE, KHOVANOV_TABLE],
+                         ids=["jones", "khovanov"])
+def test_word_sum_matches_letter_products_on_seeded_words(table):
+    rng = random.Random(77)
+    letters = sorted(table)
+    for _ in range(200):
+        count = rng.randint(1, 30)
+        length = rng.randint(0, 40)
+        # few letters and short words repeat weights, so terms cancel
+        # and collect as well as add
+        alphabet = rng.sample(letters, rng.randint(1, len(letters)))
+        words = [tuple(rng.choice(alphabet) for _ in range(length))
+                 for _ in range(count)]
+        assert word_sum(words, table) == reference_word_sum(words, table)
+        assert word_sum(iter(words), table) == \
+            reference_word_sum(words, table)
+
+
+def test_word_sum_collects_and_cancels():
+    # Table 1: L = -A^-3, D = A, d = A^-1, L~ = -A^3
+    assert word_sum([("L",), ("d", "d", "d")], JONES_TABLE) == Laurent.zero()
+    assert word_sum([("L~", "L"), ("D", "d")], JONES_TABLE) == \
+        Laurent({0: 2})
+    assert word_sum([("L~",), ("D",), ("L",)], JONES_TABLE) == \
+        Laurent({3: -1, 1: 1, -3: -1})
+
+
+def test_word_sum_on_no_words_is_the_rings_zero():
+    assert word_sum([], JONES_TABLE) == Laurent.zero()
+    assert word_sum(iter(()), KHOVANOV_TABLE) == Laurent2.zero()
+    # one empty word is the empty product
+    assert word_sum([()], JONES_TABLE) == Laurent.one()
+    assert word_sum([()], KHOVANOV_TABLE) == Laurent2.one()
+
+
+@pytest.mark.parametrize("bad", [Laurent({1: 1, -1: 1}), Laurent.zero(),
+                                 Laurent2({(1, 0): 1, (0, 1): -1})])
+def test_word_sum_refuses_a_non_monomial_letter(bad):
+    ring = type(bad)
+    table = {"L": ring.one(), "D": bad}
+    for words in ([("L", "L")], [], [()]):
+        with pytest.raises(ValueError, match="monomial"):
+            word_sum(words, table)
 
 
 def test_graph_matrix_with_reversed_ranks():

@@ -7,19 +7,24 @@
   pins how often ``verify`` and ``jones`` build the diagram, the overlay,
   the Kasteleyn signs and the matrix, how often they trace the diagram,
   and how often they eliminate.
+* ``verify`` checks the Kasteleyn signs of the matrix it evaluates.
 """
 import ast
 import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import pathlib
 import sys
 from collections import Counter
 
 import pytest
 
+from pretzeldimer import cli
 from pretzeldimer.cli import main
+from pretzeldimer.matrix import Entry
+from pretzeldimer.taitgraphs import build_overlay
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -90,13 +95,41 @@ def test_verify_json_builds_one_state(monkeypatch):
     assert code == 0
     assert counts["build_diagram"] == 1
     assert counts["build_block_matrix"] == 1
-    # once for the state, once for verify's own constructor and sign checks
+    # once for the state, once for verify's own constructor and face checks
     assert counts["build_overlay"] <= 2
-    assert counts["solve_kasteleyn"] <= 2
+    # verify checks the signs the state's matrix carries, not a second set
+    assert counts["solve_kasteleyn"] == 1
     # the bracket, the Jones polynomial and the Poincare polynomial
     assert counts["det_value"] == 3
     # verify's own trace serves the bundle's Jones and Poincare knot checks
     assert counts["trace"] == 1
+
+
+def test_verify_checks_the_signs_the_determinant_used(monkeypatch):
+    # flip one Kasteleyn sign of the state's matrix on an edge that bounds
+    # a face: the face parity rule breaks, and verify must see it
+    original = cli.initial_state
+    flipped = []
+
+    def tampered(spec):
+        st = original(spec)
+        m = st.matrix
+        face_edges = {e for f in build_overlay(spec).faces for e in f}
+        key = next(k for k in sorted(m.entries)
+                   if (m.rows[k[0]], m.columns[k[1]].region) in face_edges)
+        e = m.entries[key]
+        m.entries[key] = Entry(e.tok, -e.sign)
+        flipped.append(key)
+        return st
+
+    monkeypatch.setattr(cli, "initial_state", tampered)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--json", "P(-2,3,7)"])
+    blob = json.loads(out.getvalue())
+    assert flipped
+    assert blob["checks"]["kasteleyn signing verified"] is False
+    assert code == 1
 
 
 def test_verify_json_on_a_link_eliminates_once(monkeypatch):
