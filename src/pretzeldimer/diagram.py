@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 CORNERS = ("NW", "NE", "SW", "SE")
@@ -120,6 +121,8 @@ def parse_spec(text):
         if v == 0:
             raise ValueError("pretzel entries must be nonzero")
         out.append(v)
+    if sum(map(abs, out)) > sys.maxsize:        # labels are list indices
+        raise ValueError("more than %d crossings" % sys.maxsize)
     return tuple(out)
 
 

@@ -38,10 +38,9 @@ from dataclasses import dataclass
 from .activities import split_token, token
 from .diagram import Crossing, Diagram, build_diagram, trace
 from .laurent import writhe_factor
-from .matrix import (JONES_TABLE, KHOVANOV_TABLE, ActivityMatrix, Column,
-                     Entry, build_block_matrix, det_value, enhance,
-                     kasteleyn_perm, sign_matrix, unsign)
-from .taitgraphs import build_overlay, solve_kasteleyn
+from .matrix import (ENTRIES, JONES_TABLE, KHOVANOV_TABLE, ActivityMatrix,
+                     Column, det_value, enhance, kasteleyn_perm,
+                     signed_block_matrix, unsign)
 
 
 @dataclass
@@ -59,11 +58,10 @@ class GrownState:
 
 
 def initial_state(spec):
-    """Signed matrix and diagram of P(spec), ready to grow."""
+    """Signed matrix and diagram of P(spec), ready to grow; the matrix
+    comes from one walk, with no overlay (matrix.signed_block_matrix)."""
     spec = tuple(spec)
-    m = sign_matrix(build_block_matrix(spec),
-                    solve_kasteleyn(build_overlay(spec)))
-    return GrownState(m, build_diagram(spec))
+    return GrownState(signed_block_matrix(spec), build_diagram(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +112,7 @@ def _new_crossing(state, sign, over):
 
 
 def _entry(m, letter, barred, ksign):
-    return Entry(token(letter, barred), ksign if m.signed else 1)
+    return ENTRIES[token(letter, barred), ksign if m.signed else 1]
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,6 @@ class Overlay:
     edges: list                  # (crossing label, region), deterministic order
     corners: dict
     crossing_signs: dict = field(default_factory=dict)
-    edge_signs: dict | None = None
     faces: list = field(default_factory=list)   # bounded quads as edge lists
 
     @property
@@ -211,24 +210,24 @@ def build_overlay(spec):
     return ov
 
 
-def solve_kasteleyn(overlay):
-    """Kasteleyn signs via a spanning tree of the face-adjacency graph.
+def kasteleyn_negatives(faces):
+    """The face edges (any sortable keys) a Kasteleyn signing makes negative.
 
-    Every edge not chosen as a tree link gets +1; then each bounded face is
-    solved leaf-to-root for its single remaining unknown so that the face
-    parity rule holds (a face of length l needs an odd number of negative
-    edges iff l = 0 mod 4).
+    Every edge not chosen as a link of a breadth-first spanning tree of the
+    face-adjacency graph, edges taken in sorted order, gets +1; then each
+    bounded face is solved leaf-to-root for its single remaining unknown so
+    that the face parity rule holds (a face of length l needs an odd number
+    of negative edges iff l = 0 mod 4).
     """
-    faces = overlay.faces
     by_edge = {}
     for fi, f in enumerate(faces):
         for e in f:
             by_edge.setdefault(e, []).append(fi)
 
-    # face adjacency, with the unbounded face as BFS root (index -1)
-    adj = {fi: [] for fi in range(len(faces))}
-    adj[-1] = []
-    for e, fs in sorted(by_edge.items()):
+    # face adjacency; the unbounded face, index -1 (the last slot), is root
+    adj = [[] for _ in range(len(faces) + 1)]
+    for e in sorted(by_edge):
+        fs = by_edge[e]
         if len(fs) == 2:
             adj[fs[0]].append((fs[1], e))
             adj[fs[1]].append((fs[0], e))
@@ -236,29 +235,29 @@ def solve_kasteleyn(overlay):
             adj[-1].append((fs[0], e))
             adj[fs[0]].append((-1, e))
 
-    parent_link = {}
-    order = []
-    seenf = {-1}
-    queue = [-1]
-    while queue:
-        node = queue.pop(0)
+    parent_link = [None] * len(faces) + [-1]
+    order = [-1]
+    for node in order:                   # the list grows as the BFS queue
         for nxt, e in adj[node]:
-            if nxt not in seenf:
-                seenf.add(nxt)
+            if parent_link[nxt] is None:
                 parent_link[nxt] = e
                 order.append(nxt)
-                queue.append(nxt)
-    if len(seenf) != len(faces) + 1:
+    if len(order) != len(faces) + 1:
         raise RuntimeError("face-adjacency graph is not connected")
 
-    signs = {e: 1 for e in overlay.edges}
-    for fi in reversed(order):
+    # children before parents; a face's unknown is not negative yet
+    negative = set()
+    for fi in reversed(order[1:]):
         f = faces[fi]
-        unknown = parent_link[fi]
-        neg = sum(1 for e in f if e != unknown and signs[e] == -1)
-        want_odd = (len(f) % 4 == 0)
-        signs[unknown] = -1 if (neg % 2 == 0) == want_odd else 1
-    return signs
+        if (len(negative.intersection(f)) % 2 == 0) == (len(f) % 4 == 0):
+            negative.add(parent_link[fi])
+    return negative
+
+
+def solve_kasteleyn(overlay):
+    """kasteleyn_negatives on the overlay's faces, as signs of its edges."""
+    negative = kasteleyn_negatives(overlay.faces)
+    return {e: -1 if e in negative else 1 for e in overlay.edges}
 
 
 def verify_kasteleyn(faces, signs):
@@ -269,25 +268,6 @@ def verify_kasteleyn(faces, signs):
         if (neg % 2 == 1) != want_odd:
             return False
     return True
-
-
-def delete_edge_from_faces(faces, e):
-    """Face list after deleting edge e (merges the two faces along e).
-
-    If e lies on only one bounded face, that face merges with the unbounded
-    one and simply drops out.  Used to check that valid signings stay valid
-    under edge deletion.
-    """
-    containing = [i for i, f in enumerate(faces) if e in f]
-    if len(containing) == 0:
-        return [list(f) for f in faces]
-    if len(containing) == 1:
-        return [list(f) for i, f in enumerate(faces) if i != containing[0]]
-    i1, i2 = containing
-    merged = [x for x in faces[i1] if x != e] + [x for x in faces[i2] if x != e]
-    out = [list(f) for i, f in enumerate(faces) if i not in (i1, i2)]
-    out.append(merged)
-    return out
 
 
 def tait_to_dot(g, name="tait"):

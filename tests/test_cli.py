@@ -83,6 +83,16 @@ def test_parse_error_exits_2(capsys):
         assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["jones", "matrix", "khovanov", "verify"])
+def test_huge_entries_exit_2(capsys, command):
+    # more crossings than a list index holds: refused while parsing, before
+    # any label exists
+    for spec in ("P(99999999999999999999)", "P(2,-3,99999999999999999999)"):
+        code, _, err = run(capsys, command, spec)
+        assert code == 2 and err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_bare_leading_negative_spec(capsys):
     # argparse would read "-2,3,7" as an option; it must parse as a spec
     for args in ((), ("--json",), ("--bracket",)):

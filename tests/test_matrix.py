@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -24,6 +25,7 @@ from pretzeldimer.matrix import (
     perm_value,
     pretty,
     sign_matrix,
+    signed_block_matrix,
     to_json,
     word_multiset,
     word_sum,
@@ -478,3 +480,41 @@ def test_expansion_is_not_bounded_by_the_recursion_limit():
         sys.setrecursionlimit(limit)
     assert len(terms) == 3 * 401 + 2 * 401 + 2 * 3
     assert terms == sorted(terms, key=lambda t: t.cols)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass state against the overlay route
+
+#: sha256 of matrix_view(build_block_matrix(spec)) over the desk sweep, as
+#: the builder that placed each letter apart from the face walk gave it
+BLOCK_MATRIX_DESK_SHA256 = \
+    "c47b8fe4ff9ef8d79b36100370297e11e14aa6de7ebf09e65cbe2f33793d43a2"
+
+
+def matrix_view(m):
+    """Rows, columns, entries in insertion order with tokens and signs."""
+    return (m.rows, [(c.kind, c.region) for c in m.columns],
+            [(key, e.tok, e.sign) for key, e in m.entries.items()], m.signed)
+
+
+def test_block_matrix_unchanged_on_desk_sweep():
+    digest = hashlib.sha256()
+    for spec in desk_sweep():
+        digest.update(repr(matrix_view(build_block_matrix(spec))).encode())
+    assert digest.hexdigest() == BLOCK_MATRIX_DESK_SHA256
+
+
+def test_signed_block_matrix_matches_overlay_route():
+    # the overlay route: unsigned letters, (label, region) faces, a copy
+    t0 = time.perf_counter()
+    rng = random.Random(2718)
+    seeded = [tuple(rng.choice((-1, 1)) * rng.randint(1, 15)
+                    for _ in range(rng.randint(1, 12))) for _ in range(3000)]
+    one_column = [(v,) for a in range(1, 10) for v in (a, -a)]
+    specs = desk_sweep() + one_column + seeded + [(-2, 3, 401), (3,) * 25]
+    for spec in specs:
+        reference = sign_matrix(build_block_matrix(spec),
+                                solve_kasteleyn(build_overlay(spec)))
+        got = signed_block_matrix(spec)
+        assert matrix_view(got) == matrix_view(reference), spec
+    assert time.perf_counter() - t0 < REFERENCE_BUDGET_S

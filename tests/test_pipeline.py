@@ -6,7 +6,8 @@
 * One command builds one state: a call counter around the constructors
   pins how often ``verify`` and ``jones`` build the diagram, the overlay,
   the Kasteleyn signs and the matrix, how often they trace the diagram,
-  and how often they eliminate.
+  and how often they eliminate.  The state itself builds no overlay: one
+  walk gives the letters and the faces, and one face solve the signs.
 * ``verify`` checks the Kasteleyn signs of the matrix it evaluates.
 """
 import ast
@@ -59,8 +60,8 @@ def test_benchmark_names_resolve():
 #: module -> constructors, traces and eliminations whose calls are counted
 COUNTED = {
     "diagram": ("build_diagram", "trace"),
-    "taitgraphs": ("build_overlay", "solve_kasteleyn"),
-    "matrix": ("build_block_matrix", "det_value"),
+    "taitgraphs": ("build_overlay", "solve_kasteleyn", "kasteleyn_negatives"),
+    "matrix": ("signed_block_matrix", "det_value"),
 }
 
 
@@ -94,11 +95,12 @@ def test_verify_json_builds_one_state(monkeypatch):
     code, counts = count_calls(monkeypatch, ["verify", "--json", "P(-2,3,7)"])
     assert code == 0
     assert counts["build_diagram"] == 1
-    assert counts["build_block_matrix"] == 1
-    # once for the state, once for verify's own constructor and face checks
-    assert counts["build_overlay"] <= 2
+    assert counts["signed_block_matrix"] == 1
+    # only for verify's own constructor and face checks; the state has none
+    assert counts["build_overlay"] == 1
     # verify checks the signs the state's matrix carries, not a second set
-    assert counts["solve_kasteleyn"] == 1
+    assert counts["kasteleyn_negatives"] == 1
+    assert counts["solve_kasteleyn"] == 0
     # the bracket, the Jones polynomial and the Poincare polynomial
     assert counts["det_value"] == 3
     # verify's own trace serves the bundle's Jones and Poincare knot checks
@@ -147,9 +149,15 @@ def test_jones_traces_once(monkeypatch):
 
 @pytest.mark.parametrize("argv", [["jones", "P(-2,3,7)"],
                                   ["khovanov", "P(-2,3,7)"],
-                                  ["matrix", "P(-2,3,7)", "--enhanced"]])
+                                  ["matrix", "P(-2,3,7)", "--enhanced"],
+                                  ["jones", "P(-2,3,7)",
+                                   "--extend", "r2:parallel"]])
 def test_commands_build_one_diagram(monkeypatch, argv):
     code, counts = count_calls(monkeypatch, argv)
     assert code == 0
     assert counts["build_diagram"] == 1
-    assert counts["build_block_matrix"] == 1
+    assert counts["signed_block_matrix"] == 1
+    # the state builds no overlay: one walk and one face solve
+    assert counts["build_overlay"] == 0
+    assert counts["solve_kasteleyn"] == 0
+    assert counts["kasteleyn_negatives"] == 1

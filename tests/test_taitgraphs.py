@@ -9,7 +9,6 @@ from pretzeldimer.taitgraphs import (
     bigon,
     build_overlay,
     build_tait,
-    delete_edge_from_faces,
     dual_graph,
     overlay_to_dot,
     solve_kasteleyn,
@@ -139,6 +138,25 @@ def test_reference_signing_torus_819():
               (6, BOT), (7, bigon(3, 2)), (8, bigon(3, 1))]:
         signs[e] = -1
     assert verify_kasteleyn(ov.faces, signs)
+
+
+def delete_edge_from_faces(faces, e):
+    """Face list after deleting edge e (merges the two faces along e).
+
+    If e lies on only one bounded face, that face merges with the unbounded
+    one and simply drops out.  Used to check that valid signings stay valid
+    under edge deletion.
+    """
+    containing = [i for i, f in enumerate(faces) if e in f]
+    if len(containing) == 0:
+        return [list(f) for f in faces]
+    if len(containing) == 1:
+        return [list(f) for i, f in enumerate(faces) if i != containing[0]]
+    i1, i2 = containing
+    merged = [x for x in faces[i1] if x != e] + [x for x in faces[i2] if x != e]
+    out = [list(f) for i, f in enumerate(faces) if i not in (i1, i2)]
+    out.append(merged)
+    return out
 
 
 def test_parity_survives_edge_deletion():
