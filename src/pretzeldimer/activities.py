@@ -14,9 +14,7 @@ letters of edges 1..n in order; the whole downstream evaluation pipeline is
 a sum over these words.
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple
+from collections import namedtuple
 
 BASE_LETTERS = ("L", "D", "l", "d")
 
@@ -27,19 +25,6 @@ def token(letter, barred):
 
 def split_token(tok):
     return tok[0], tok.endswith("~")
-
-
-def word_str(word, ascii_bars=False):
-    """Human form of a word; bars become combining macrons unless ascii."""
-    if ascii_bars:
-        return "".join(word)
-    out = []
-    for tok in word:
-        letter, barred = split_token(tok)
-        if letter == "l":
-            letter = "ℓ"          # script ell, easier to tell from 1
-        out.append(letter + ("̄" if barred else ""))
-    return "".join(out)
 
 
 def spanning_trees(g):
@@ -104,7 +89,7 @@ _EDGE_TOKENS = {barred: [token(letter, barred) for letter in BASE_LETTERS]
                 for barred in (False, True)}
 
 
-class _WordSetup(NamedTuple):
+class _WordSetup(namedtuple("_WordSetup", "where ends nbrs tokens outside")):
     """What every tree's word needs from the graph, built once per graph.
 
     Edges are numbered by rank: position p holds the p-th edge of the
@@ -112,12 +97,13 @@ class _WordSetup(NamedTuple):
     0, 1, ...  Vertices are numbered by their place in g.vertices.  A
     letter is coded as 4 p + (0 L, 1 D, 2 l, 3 d), so "| 1" turns a live
     letter into the dead one.
+
+    where maps edge label -> position; ends lists position -> (vertex
+    index, vertex index); nbrs lists vertex index -> [(vertex index,
+    position), ...]; tokens lists letter code -> token; outside lists
+    position -> code of its l, each word's start.
     """
-    where: dict        # edge label -> position
-    ends: list         # position -> (vertex index, vertex index)
-    nbrs: list         # vertex index -> [(vertex index, position), ...]
-    tokens: list       # letter code -> token
-    outside: list      # position -> code of its l, each word's start
+    __slots__ = ()
 
 
 def _word_setup(g, ranks):
@@ -206,92 +192,7 @@ def tree_words(g, ranks=None):
 
 
 # ---------------------------------------------------------------------------
-# word-shape classification
-
-_SERIES = (
-    ("L+", lambda s: set(s) == {"L"}),
-    ("D+", lambda s: set(s) == {"D"}),
-    ("L+dD*", lambda s: "d" in s and s.index("d") >= 1
-     and set(s[:s.index("d")]) == {"L"} and set(s[s.index("d") + 1:]) <= {"D"}),
-    ("lD*", lambda s: s[0] == "l" and set(s[1:]) <= {"D"}),
-    ("dD*", lambda s: s[0] == "d" and set(s[1:]) <= {"D"}),
-)
-
-_PARALLEL = (
-    ("l+", lambda s: set(s) == {"l"}),
-    ("d+", lambda s: set(s) == {"d"}),
-    ("l+Dd*", lambda s: "D" in s and s.index("D") >= 1
-     and set(s[:s.index("D")]) == {"l"} and set(s[s.index("D") + 1:]) <= {"d"}),
-    ("Ld*", lambda s: s[0] == "L" and set(s[1:]) <= {"d"}),
-    ("Dd*", lambda s: s[0] == "D" and set(s[1:]) <= {"d"}),
-)
-
-
-def _classify(segment, table):
-    bare = [split_token(tok)[0] for tok in segment]
-    if not bare:
-        raise ValueError("empty segment")
-    for name, test in table:
-        if test(bare):
-            return name
-    return None
-
-
-def classify_series(segment):
-    """Legal shapes of a series (column) segment, or None.
-
-    A twist column contributes consecutive tree edges; a path of edges in
-    series admits exactly five letter shapes.
-    """
-    return _classify(segment, _SERIES)
-
-
-def classify_parallel(segment):
-    """Dual classification for a parallel class of edges."""
-    return _classify(segment, _PARALLEL)
-
-
-def column_segments(word, spec):
-    """Split a word into its per-column segments (rank order = label order)."""
-    out = []
-    pos = 0
-    for v in spec:
-        m = abs(v)
-        out.append(tuple(word[pos:pos + m]))
-        pos += m
-    return out
-
-
-# ---------------------------------------------------------------------------
 # perfect matchings of the balanced overlay
-
-def perfect_matchings(overlay):
-    """All perfect matchings, backtracking in crossing order.
-
-    Each matching maps every crossing to one of its surviving corner
-    regions, using every region exactly once; returned as tuples aligned
-    with overlay.crossings.
-    """
-    candidates = [overlay.incident_regions(c) for c in overlay.crossings]
-    used = set()
-    results = []
-    pick = []
-
-    def rec(i):
-        if i == len(candidates):
-            results.append(tuple(pick))
-            return
-        for r in candidates[i]:
-            if r not in used:
-                used.add(r)
-                pick.append(r)
-                rec(i + 1)
-                pick.pop()
-                used.remove(r)
-
-    rec(0)
-    return results
-
 
 def matching_to_tree(g, overlay, matching):
     """Tree of G corresponding to a matching: the black-matched crossings.

@@ -14,12 +14,10 @@ Arcs are stored as an involution on ports.  Everything else — orientation,
 writhe, component count, the skein state sum — is derived from this wiring.
 """
 
-from __future__ import annotations
-
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 CORNERS = ("NW", "NE", "SW", "SE")
 
@@ -29,27 +27,43 @@ PASS = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
 _COORD = {"NW": (-1, 1), "NE": (1, 1), "SW": (-1, -1), "SE": (1, -1)}
 
 
-@dataclass
 class Crossing:
-    label: int
-    over: str       # "/" if the SW-NE strand is on top, "\\" otherwise
-    sign: int       # checkerboard edge sign (column sign), +1 or -1
+    """One crossing: over is "/" if the SW-NE strand is on top, "\\"
+    otherwise; sign is the checkerboard edge sign (column sign), +1 or -1."""
+    __slots__ = ("label", "over", "sign")
 
-    def __post_init__(self):
-        if self.over not in ("/", "\\"):
+    def __init__(self, label, over, sign):
+        if over not in ("/", "\\"):
             raise ValueError("over must be '/' or '\\'")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        self.label = label
+        self.over = over
+        self.sign = sign
+
+    def __eq__(self, other):
+        return type(other) is Crossing and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-@dataclass
 class Diagram:
-    crossings: dict            # label -> Crossing
-    arcs: dict                 # port -> port involution; port = (label, corner)
-    columns: list | None       # labels top->bottom per column (standard builds)
-    # the unique arc separating the upper deck from the unbounded region;
-    # surgery operations keep this up to date so kinks know where to attach
-    outer_top_arc: tuple | None = None
+    """Crossings (label -> Crossing) wired by arcs, a port -> port
+    involution with port = (label, corner).  columns lists the labels top
+    to bottom per column for standard builds, else None.  outer_top_arc is
+    the unique arc separating the upper deck from the unbounded region;
+    surgery operations keep it up to date so kinks know where to attach.
+    """
+    __slots__ = ("crossings", "arcs", "columns", "outer_top_arc")
+
+    def __init__(self, crossings, arcs, columns, outer_top_arc=None):
+        self.crossings = crossings
+        self.arcs = arcs
+        self.columns = columns
+        self.outer_top_arc = outer_top_arc
+
+    def __eq__(self, other):
+        return type(other) is Diagram and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def n(self):
@@ -193,12 +207,14 @@ def build_diagram(spec):
         [[1 if v > 0 else -1] * abs(v) for v in spec])
 
 
-@dataclass
-class Trace:
-    components: int
-    signs: dict                     # label -> +1/-1 under the traced orientation
-    writhe: int
-    seeds: list = field(default_factory=list)
+class Trace(namedtuple("Trace", "components signs writhe seeds")):
+    """A traced orientation: the component count, label -> +1/-1 crossing
+    signs under it, the writhe and the port each component started at."""
+    __slots__ = ()
+
+    def __new__(cls, components, signs, writhe, seeds=None):
+        return super().__new__(cls, components, signs, writhe,
+                               [] if seeds is None else seeds)
 
 
 def trace(diagram, seed=None):

@@ -20,9 +20,7 @@ lists the pairs themselves by expanding every term, and is the slow route
 the counts are checked against.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagram import trace
 from .extend import (initial_state, normalized, state_bracket,
@@ -32,24 +30,6 @@ from .laurent import Laurent, Laurent2, writhe_factor  # noqa: F401  (public)
 from .matrix import (JONES_TABLE, KHOVANOV_TABLE,  # noqa: F401  (tables)
                      ActivityMatrix, det_value, expand)
 from .taitgraphs import region_name
-
-
-def gradings(word):
-    """(u, v) bidegree of a word: u = #L - #l - #L~ + #l~, v = #L + #D."""
-    u = v = 0
-    for tok in word:
-        if tok == "L":
-            u += 1
-            v += 1
-        elif tok == "D":
-            v += 1
-        elif tok == "l":
-            u -= 1
-        elif tok == "L~":
-            u -= 1
-        elif tok == "l~":
-            u += 1
-    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +77,11 @@ STENCILS = (
 )
 
 
-@dataclass(frozen=True)
-class StencilReport:
-    rows: tuple       # (crossing label, crossing label), stencil row order
-    cols: tuple       # (region, region), stencil column order
-    stencil: str
+class StencilReport(namedtuple("StencilReport", "rows cols stencil")):
+    """One stencil instance: its (crossing label, crossing label) rows and
+    (region, region) columns, both in stencil order, and the stencil's
+    name."""
+    __slots__ = ()
 
     def to_json(self, names=True):
         return {
@@ -120,28 +100,39 @@ def scan_differentials(m):
     the source and target of one potential differential arrow.  Only the
     letters are read, so any signing (and any writhe weights) gives the
     same reports.
+
+    A row has at most four entries, so each row is indexed under its
+    unordered column pairs and compared only with the rows that share a
+    pair; a single column will not do, since the strip beside a long twist
+    column meets about n rows.  Reports come in row order of the first
+    row, then of the second, then by the two columns in sorted order.
     """
     view = {}
     for (ri, ci), e in m.entries.items():
         view[(m.rows[ri], m.columns[ci].region)] = e.tok
-    row_support = {}
+    row_support = {label: set() for label in m.rows}
     for (label, region) in view:
-        row_support.setdefault(label, set()).add(region)
+        row_support[label].add(region)
+    holders = {}                  # unordered column pair -> rows holding it
+    for label in m.rows:
+        support = sorted(row_support[label])
+        for i, a in enumerate(support):
+            for b in support[i + 1:]:
+                holders.setdefault((a, b), []).append(label)
+    partners = {label: set() for label in m.rows}
+    for labels in holders.values():
+        for label in labels:
+            partners[label].update(labels)
+    position = {label: i for i, label in enumerate(m.rows)}
 
     reports = []
-    labels = list(m.rows)
-    for r1 in labels:
-        for r2 in labels:
-            if r1 == r2:
-                continue
+    for r1 in m.rows:
+        for r2 in sorted(partners[r1] - {r1}, key=position.__getitem__):
             shared = sorted(row_support[r1] & row_support[r2])
-            if len(shared) < 2:
-                continue
-            for ai in range(len(shared)):
-                for bi in range(len(shared)):
-                    if ai == bi:
+            for ca in shared:
+                for cb in shared:
+                    if ca == cb:
                         continue
-                    ca, cb = shared[ai], shared[bi]
                     got = (view[(r1, ca)], view[(r1, cb)],
                            view[(r2, ca)], view[(r2, cb)])
                     for name, ((s11, s12), (s21, s22)) in STENCILS:
@@ -226,13 +217,12 @@ def stencil_pair_counts(m, reports):
 # ---------------------------------------------------------------------------
 # JSON bundle
 
-@dataclass(frozen=True)
-class Invariants:
-    """Every invariant of one state; a link has only its bracket."""
-    bracket: Laurent
-    jones_in_A: Laurent | None = None
-    poincare: Laurent2 | None = None
-    reports: list | None = None     # StencilReport
+class Invariants(namedtuple("Invariants", "bracket jones_in_A poincare reports",
+                            defaults=(None, None, None))):
+    """Every invariant of one state; a link has only its bracket, and None
+    in the Jones polynomial, the Poincare polynomial and the
+    StencilReport list."""
+    __slots__ = ()
 
     def to_json(self, spec):
         """Machine-readable bundle; link-undefined fields are null."""

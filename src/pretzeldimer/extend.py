@@ -33,21 +33,18 @@ top: exactly one D in an internal column plus one d in an external column.
 A one-column pretzel or a freshly added kink does not qualify and is
 rejected before any surgery happens.
 """
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .activities import split_token, token
-from .diagram import Crossing, Diagram, build_diagram, trace
+from .diagram import Crossing, build_diagram, trace
 from .laurent import writhe_factor
-from .matrix import (ENTRIES, JONES_TABLE, KHOVANOV_TABLE, ActivityMatrix,
-                     Column, det_value, enhance, kasteleyn_perm,
-                     signed_block_matrix, unsign)
+from .matrix import (ENTRIES, JONES_TABLE, KHOVANOV_TABLE, Column, det_value,
+                     enhance, kasteleyn_perm, signed_block_matrix, unsign)
 
 
-@dataclass
-class GrownState:
+class GrownState(namedtuple("GrownState", "matrix diagram")):
     """A signed (unenhanced) activity matrix plus its live diagram."""
-    matrix: ActivityMatrix
-    diagram: Diagram
+    __slots__ = ()
 
     def copy(self):
         return GrownState(self.matrix.copy(), self.diagram.copy())

@@ -6,8 +6,6 @@ so a dict {exponent: coefficient} with Python ints is all we need.  No
 floating point anywhere.
 """
 
-from __future__ import annotations
-
 
 def _super(mapping, other):
     # merge-add two coefficient dicts, dropping zeros

@@ -36,11 +36,9 @@ stop being +- the Jones polynomial; build_graph_matrix takes a ranks
 mapping so that this can be demonstrated.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .activities import split_token, token
 from .diagram import column_labels, trace
@@ -48,26 +46,40 @@ from .laurent import Laurent, Laurent2, _div, _mul, writhe_factor
 from .taitgraphs import BOT, bigon, kasteleyn_negatives, region_name, strip
 
 
-@dataclass(frozen=True)
-class Entry:
-    tok: str          # activity letter with optional bar mark, e.g. "D~"
-    sign: int = 1     # Kasteleyn sign; only honoured when matrix.signed
+class Entry(namedtuple("Entry", "tok sign", defaults=(1,))):
+    """One matrix entry: an activity letter with optional bar mark, e.g.
+    "D~", and its Kasteleyn sign (only honoured when matrix.signed)."""
+    __slots__ = ()
 
 
-@dataclass
-class Column:
-    kind: str         # "internal" (black region) / "external" (white region)
-    region: tuple
+class Column(namedtuple("Column", "kind region")):
+    """A region column: kind "internal" (black region) or "external"
+    (white region), and the region itself."""
+    __slots__ = ()
 
 
-@dataclass
 class ActivityMatrix:
-    rows: list                   # crossing labels in row order
-    columns: list                # Column
-    entries: dict                # (row index, col index) -> Entry
-    signed: bool = False
-    enhanced: bool = False
-    row_weights: dict = None     # row index -> crossing sign (when enhanced)
+    """Crossing rows by region columns.
+
+    rows lists crossing labels in row order, columns the Column of each
+    column, entries maps (row index, col index) -> Entry; row_weights maps
+    row index -> crossing sign when enhanced.
+    """
+    __slots__ = ("rows", "columns", "entries", "signed", "enhanced",
+                 "row_weights")
+
+    def __init__(self, rows, columns, entries, signed=False, enhanced=False,
+                 row_weights=None):
+        self.rows = rows
+        self.columns = columns
+        self.entries = entries
+        self.signed = signed
+        self.enhanced = enhanced
+        self.row_weights = row_weights
+
+    def __eq__(self, other):
+        return type(other) is ActivityMatrix and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def n(self):
@@ -76,7 +88,7 @@ class ActivityMatrix:
     def copy(self):
         return ActivityMatrix(
             rows=list(self.rows),
-            columns=[Column(c.kind, c.region) for c in self.columns],
+            columns=list(self.columns),
             entries=dict(self.entries),
             signed=self.signed,
             enhanced=self.enhanced,
@@ -231,12 +243,11 @@ def enhance(m, diagram):
     return out
 
 
-@dataclass(frozen=True)
-class Term:
-    cols: tuple      # column index chosen for each row, in row order
-    word: tuple      # activity tokens in row order
-    parity: int      # sign of the permutation
-    ksign: int       # product of Kasteleyn entry signs
+class Term(namedtuple("Term", "cols word parity ksign")):
+    """One permutation term: the column index chosen for each row and the
+    activity tokens, both in row order; the sign of the permutation; the
+    product of its Kasteleyn entry signs."""
+    __slots__ = ()
 
 
 def _row_candidates(m):

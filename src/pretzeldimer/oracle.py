@@ -17,8 +17,6 @@ Two routes, each independent of what it checks:
   costs integer additions and sign products, not polynomial products.
 """
 
-from __future__ import annotations
-
 from .activities import tree_words
 from .diagram import CORNERS
 from .laurent import Laurent, writhe_factor

@@ -18,9 +18,7 @@ corners are black and the east/west corners are white.
   perfect-matching counts honest determinants.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .diagram import column_labels
 
@@ -72,20 +70,16 @@ def corner_regions(spec):
     return out
 
 
-@dataclass
-class TaitEdge:
-    label: int
-    u: tuple
-    v: tuple
-    sign: int
+class TaitEdge(namedtuple("TaitEdge", "label u v sign")):
+    """Edge of crossing label between regions u and v, with its sign."""
+    __slots__ = ()
 
 
-@dataclass
-class TaitGraph:
-    vertices: list
-    edges: dict                 # label -> TaitEdge
-    corners: dict               # label -> {"N","S","W","E"} -> region
-    is_dual: bool = False
+class TaitGraph(namedtuple("TaitGraph", "vertices edges corners is_dual",
+                           defaults=(False,))):
+    """Regions as vertices, edges label -> TaitEdge, and corners
+    label -> {"N","S","W","E"} -> region."""
+    __slots__ = ()
 
     @property
     def n(self):
@@ -135,21 +129,22 @@ def dual_graph(g):
                      is_dual=not g.is_dual)
 
 
-@dataclass
-class Overlay:
+class Overlay(namedtuple("Overlay", "crossings set2 set3 edges corners "
+                         "crossing_signs faces")):
     """Balanced bipartite incidence graph after deleting TOP and OUT.
 
     set1 = crossings, set2 = surviving black regions (bottom deck and
     bigons), set3 = surviving white regions (strips).  Balance:
-    |set1| = |set2| + |set3|.
+    |set1| = |set2| + |set3|.  edges lists (crossing label, region) in a
+    deterministic order; faces lists the bounded quads as edge lists.
     """
-    crossings: list
-    set2: list
-    set3: list
-    edges: list                  # (crossing label, region), deterministic order
-    corners: dict
-    crossing_signs: dict = field(default_factory=dict)
-    faces: list = field(default_factory=list)   # bounded quads as edge lists
+    __slots__ = ()
+
+    def __new__(cls, crossings, set2, set3, edges, corners,
+                crossing_signs=None, faces=None):
+        return super().__new__(cls, crossings, set2, set3, edges, corners,
+                               {} if crossing_signs is None else crossing_signs,
+                               [] if faces is None else faces)
 
     @property
     def edge_set(self):

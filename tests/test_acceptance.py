@@ -13,12 +13,13 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from paper_tables import (classify_parallel, classify_series, column_segments,
+                          gradings)
 
-from pretzeldimer.activities import (classify_parallel, classify_series,
-                                     column_segments, tree_words)
+from pretzeldimer.activities import tree_words
 from pretzeldimer.cli import main
 from pretzeldimer.diagram import build_diagram, trace
-from pretzeldimer.evaluate import (JONES_TABLE, STENCILS, gradings,
+from pretzeldimer.evaluate import (JONES_TABLE, STENCILS,
                                    jones_in_A, khovanov_poincare,
                                    pipeline_matrix, scan_differentials,
                                    stencil_word_pairs)

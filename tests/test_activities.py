@@ -4,19 +4,16 @@ import sys
 import time
 
 import pytest
+from paper_tables import (classify_parallel, classify_series, column_segments,
+                          perfect_matchings, word_str)
 
 from pretzeldimer.activities import (
     activity_word,
-    classify_parallel,
-    classify_series,
-    column_segments,
     matching_to_tree,
-    perfect_matchings,
     spanning_trees,
     split_token,
     token,
     tree_words,
-    word_str,
 )
 from pretzeldimer.taitgraphs import (BOT, build_overlay, build_tait,
                                      dual_graph, strip)

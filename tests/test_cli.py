@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import pretzeldimer
 from pretzeldimer.cli import main
 
 # golden byte-for-byte outputs for the three worked knots
@@ -283,3 +287,20 @@ def test_dot_conflicts_with_extend(capsys):
     code, _, err = run(capsys, "matrix", "P(1,1,1)", "--dot", "tait",
                        "--extend", "double")
     assert code == 2 and "--dot" in err
+
+
+#: modules whose import cost the CLI start-up must not pay
+HEAVY_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+                 "__future__")
+
+
+def test_cli_import_loads_no_heavy_module():
+    # -S keeps site from preloading typing, which some .pth files import
+    src = os.path.dirname(os.path.dirname(pretzeldimer.__file__))
+    code = ("import sys; sys.path.insert(0, %r); before = set(sys.modules); "
+            "import pretzeldimer.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert "pretzeldimer.cli" in out.split()
+    assert set(HEAVY_IMPORTS).isdisjoint(out.split())

@@ -2,6 +2,7 @@ import pytest
 
 from pretzeldimer.diagram import (
     CORNERS,
+    Crossing,
     build_diagram,
     build_from_sign_columns,
     components,
@@ -106,6 +107,12 @@ def test_copy_is_independent():
     c.arcs[(1, "NW")] = (2, "NW")
     assert d.crossings[1].sign == 1
     assert d.arcs[(1, "NW")] != (2, "NW")
+
+
+@pytest.mark.parametrize("over, sign", [("x", 1), ("/", 0)])
+def test_crossing_refuses_bad_over_or_sign(over, sign):
+    with pytest.raises(ValueError):
+        Crossing(1, over, sign)
 
 
 def test_json_and_dot():

@@ -1,15 +1,18 @@
+import itertools
 import random
+import time
 
 import pytest
+from paper_tables import gradings
 
 from pretzeldimer.activities import activity_word, spanning_trees
 from pretzeldimer.diagram import build_diagram, trace, writhe
 from pretzeldimer.evaluate import (
     JONES_TABLE,
     KHOVANOV_TABLE,
+    STENCILS,
     StencilReport,
     bracket,
-    gradings,
     invariant_bundle,
     jones,
     jones_in_A,
@@ -20,6 +23,7 @@ from pretzeldimer.evaluate import (
     stencil_word_pairs,
     writhe_factor,
 )
+from pretzeldimer.extend import initial_state
 from pretzeldimer.laurent import Laurent, Laurent2
 from pretzeldimer.oracle import (
     state_sum_bracket,
@@ -201,6 +205,73 @@ def test_scan_differentials_torus_819():
         assert (src[1], src[2]) == ("d~", "D")
         assert (tgt[1], tgt[2]) == ("L~", "d")
         assert src[:1] == tgt[:1] and src[3:] == tgt[3:]
+
+
+def test_stencil_reports_are_values():
+    a = StencilReport(rows=(2, 3), cols=(strip(1), BOT), stencil="d~L~/dD")
+    b = StencilReport((2, 3), (strip(1), BOT), "d~L~/dD")
+    assert a == b and hash(a) == hash(b)
+    assert a != b._replace(stencil="Ld/D~d~")
+    assert len({a, b}) == 1
+
+
+def reference_scan(m):
+    """The stencil scan over every ordered pair of rows, O(n^2)."""
+    view = {}
+    for (ri, ci), e in m.entries.items():
+        view[(m.rows[ri], m.columns[ci].region)] = e.tok
+    row_support = {}
+    for (label, region) in view:
+        row_support.setdefault(label, set()).add(region)
+    reports = []
+    for r1 in m.rows:
+        for r2 in m.rows:
+            if r1 == r2:
+                continue
+            shared = sorted(row_support[r1] & row_support[r2])
+            for ca, cb in itertools.permutations(shared, 2):
+                got = (view[(r1, ca)], view[(r1, cb)],
+                       view[(r2, ca)], view[(r2, cb)])
+                for name, ((s11, s12), (s21, s22)) in STENCILS:
+                    if got == (s11, s12, s21, s22):
+                        reports.append(StencilReport(
+                            rows=(r1, r2), cols=(ca, cb), stencil=name))
+    return reports
+
+
+def scan_specs():
+    """Every knot a benchmark workload runs khovanov on, plus three large.
+
+    The desk sweep's knots (k in {2,3,4}, entries +-1..4, at most 12
+    crossings), the wide slots P(3^5) ... P(3^7) and the long ladder
+    P(-2,3,2m+1) for m = 2, 4, ..., 26, each with its mirror image; then
+    P(-2,3,401), P(-2,3,801) and P(3^25).
+    """
+    entries = [v for v in range(-4, 5) if v]
+    desk = [combo for k in (2, 3, 4)
+            for combo in itertools.product(entries, repeat=k)
+            if sum(abs(v) for v in combo) <= 12]
+    wide = [(2, 3, 3, 3, 3), (1, 3, 3, 3, 5), (3, 3, 3, 3, 3),
+            (3, 3, 3, 3, 4), (3, 3, 3, 3, 5), (3, 3, 3, 4, 5),
+            (2, 3, 3, 3, 3, 3), (3, 3, 3, 5, 5), (3, 3, 5, 5, 5),
+            (5, 5, 5, 5, 5), (3,) * 7]
+    long = [(-2, 3, 2 * m + 1) for m in range(2, 27, 2)]
+    knots = [spec for spec in desk + wide + long
+             if trace(build_diagram(spec)).components == 1]
+    return (knots + [tuple(-v for v in spec) for spec in wide + long]
+            + [(-2, 3, 401), (-2, 3, 801), (3,) * 25])
+
+
+def test_scan_matches_the_pairwise_reference():
+    t0 = time.perf_counter()
+    found = 0
+    for spec in scan_specs():
+        m = initial_state(spec).matrix
+        reports = scan_differentials(m)
+        assert reports == reference_scan(m), spec
+        found += len(reports)
+    assert found > 0
+    assert time.perf_counter() - t0 < 60
 
 
 def test_invariant_bundle_shapes():

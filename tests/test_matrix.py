@@ -9,6 +9,7 @@ import pytest
 from pretzeldimer.activities import tree_words
 from pretzeldimer.extend import MOVES, apply_moves, initial_state
 from pretzeldimer.matrix import (
+    ENTRIES,
     JONES_TABLE,
     KHOVANOV_TABLE,
     ActivityMatrix,
@@ -175,6 +176,28 @@ def test_kasteleyn_makes_term_signs_constant(spec):
     assert m.signed
     eps = {t.parity * t.ksign for t in expand(m)}
     assert len(eps) == 1
+
+
+def test_entries_and_terms_are_values():
+    assert Entry("D~", -1) == Entry("D~", -1) != Entry("D~")
+    assert hash(Entry("L")) == hash(Entry("L", 1))
+    assert ENTRIES["l", 1] == Entry("l")
+    m = signed_block_matrix((-2, 3, 3))
+    assert all(e is ENTRIES[e.tok, e.sign] for e in m.entries.values())
+    t = Term(cols=(1, 0), word=("L", "d"), parity=-1, ksign=1)
+    assert t == Term((1, 0), ("L", "d"), -1, 1)
+    assert {t, Term((1, 0), ("L", "d"), -1, 1)} == {t}
+
+
+def test_matrix_copy_owns_its_entries():
+    m = signed_block_matrix((-2, 3, 3))
+    before = dict(m.entries)
+    c = m.copy()
+    assert c == m
+    c.entries[(0, 0)] = ENTRIES["D", -1]
+    del c.entries[(1, 0)]
+    assert m.entries == before
+    assert c != m
 
 
 def test_unsigned_matrix_terms_disagree_in_sign():
