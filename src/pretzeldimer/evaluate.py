@@ -28,7 +28,7 @@ from .extend import (initial_state, normalized, state_bracket,
                      state_khovanov_poincare, state_matrix)
 from .laurent import Laurent, Laurent2, writhe_factor  # noqa: F401  (public)
 from .matrix import (JONES_TABLE, KHOVANOV_TABLE,  # noqa: F401  (tables)
-                     ActivityMatrix, det_value, expand)
+                     ActivityMatrix, det_value, expand, kasteleyn_sign)
 from .taitgraphs import region_name
 
 
@@ -242,16 +242,20 @@ def state_invariants(state, traced=None):
     """Bracket of any state; Jones, Poincare and stencils of a knot.
 
     One trace of the diagram serves every knot check; pass it as traced
-    when the caller already holds it.
+    when the caller already holds it.  A knot's bracket and Jones
+    polynomial share one determinant over Table 1: the bracket is
+    eps * det (matrix.kasteleyn_sign), the Jones polynomial det x kink.
     """
     if traced is None:
         traced = trace(state.diagram)
     if traced.components != 1:
         return Invariants(state_bracket(state))
-    return Invariants(state_bracket(state),
-                      normalized(state_jones_raw(state, traced)),
+    m = state.matrix
+    det = det_value(m, JONES_TABLE)
+    return Invariants(det if kasteleyn_sign(m) > 0 else -det,
+                      normalized(state_jones_raw(state, traced, det)),
                       state_khovanov_poincare(state, traced),
-                      scan_differentials(state.matrix))
+                      scan_differentials(m))
 
 
 def invariant_bundle(spec):

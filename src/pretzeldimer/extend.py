@@ -23,6 +23,10 @@ global construction.  Four moves:
   down into the upper deck ("loop"),
 * ``reidemeister2`` - an oppositely-signed pair, in series or in parallel.
 
+Each move returns a grown copy and leaves its argument alone;
+``apply_moves`` grows one copy through the whole chain, so a chain costs
+one copy of the state, not one per move.
+
 Kasteleyn signs of the new entries follow fixed local rules (new live
 entry +1, new dead entry in the new column -1, copied column entries keep
 the sign already there); tests check the face parities and the
@@ -33,6 +37,7 @@ top: exactly one D in an internal column plus one d in an external column.
 A one-column pretzel or a freshly added kink does not qualify and is
 rejected before any surgery happens.
 """
+import functools
 from collections import namedtuple
 
 from .activities import split_token, token
@@ -115,21 +120,20 @@ def _entry(m, letter, barred, ksign):
 # ---------------------------------------------------------------------------
 # edge extensions
 
-def subdivide(state, sign=None):
+def _subdivide(state, sign=None):
     """One more crossing on top of the last twist column (series growth).
 
     With the default sign this turns P(..., nk) into P(..., nk +/- 1)
     (same sign as the column); an explicit opposite sign grows a mixed
     column, which is what a series Reidemeister 2 needs.
     """
-    out = state.copy()
-    m = out.diagram
-    _, s_ci = _twist_top_shape(out.matrix)
+    m = state.diagram
+    _, s_ci = _twist_top_shape(state.matrix)
     if sign is None:
-        sign = _last_sign(out)
-    old = out.matrix.rows[-1]
-    ri_old = out.matrix.n - 1
-    label = _new_crossing(out, sign, "/" if sign > 0 else "\\")
+        sign = _last_sign(state)
+    old = state.matrix.rows[-1]
+    ri_old = state.matrix.n - 1
+    label = _new_crossing(state, sign, "/" if sign > 0 else "\\")
 
     # splice the new crossing between the old top and its north arcs
     a = m.arcs[(old, "NW")]
@@ -146,7 +150,7 @@ def subdivide(state, sign=None):
 
     # new internal column (the bigon the splice created), new bottom row;
     # bars follow rows, so the old row's new entry marks the old edge's sign
-    am = out.matrix
+    am = state.matrix
     am.rows.append(label)
     nc = len(am.columns)
     am.columns.append(Column("internal", ("grown", label)))
@@ -155,23 +159,21 @@ def subdivide(state, sign=None):
     am.entries[(ri_new, nc)] = _entry(am, "D", sign < 0, -1)
     am.entries[(ri_new, s_ci)] = _entry(am, "d", sign < 0,
                                         am.entries[(ri_old, s_ci)].sign)
-    return out
 
 
-def double(state, sign=None):
+def _double(state, sign=None):
     """A parallel crossing east of the last column's top (parallel growth).
 
     When the last column has a single crossing this is exactly appending a
     one-crossing column: P(..., s) -> P(..., s, sign).
     """
-    out = state.copy()
-    m = out.diagram
-    x_ci, s_ci = _twist_top_shape(out.matrix)
+    m = state.diagram
+    x_ci, s_ci = _twist_top_shape(state.matrix)
     if sign is None:
-        sign = _last_sign(out)
-    old = out.matrix.rows[-1]
-    ri_old = out.matrix.n - 1
-    label = _new_crossing(out, sign, "/" if sign > 0 else "\\")
+        sign = _last_sign(state)
+    old = state.matrix.rows[-1]
+    ri_old = state.matrix.n - 1
+    label = _new_crossing(state, sign, "/" if sign > 0 else "\\")
 
     # splice east of the old top: its NE/SE arcs now pass through the twin
     a = m.arcs[(old, "NE")]
@@ -188,7 +190,7 @@ def double(state, sign=None):
 
     # new external column (the white gap between the twins), new bottom row;
     # as in subdivide, the old row's new entry keeps the old edge's bar
-    am = out.matrix
+    am = state.matrix
     am.rows.append(label)
     nc = len(am.columns)
     am.columns.append(Column("external", ("grown", label)))
@@ -197,13 +199,12 @@ def double(state, sign=None):
     am.entries[(ri_new, nc)] = _entry(am, "d", sign < 0, -1)
     am.entries[(ri_new, x_ci)] = _entry(am, "D", sign < 0,
                                         am.entries[(ri_old, x_ci)].sign)
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Reidemeister moves
 
-def reidemeister1(state, kind, sign=1):
+def _reidemeister1(state, kind, sign=1):
     """Kink on the outer top strand; ``kind`` is "bridge" or "loop".
 
     A bridge pokes into the unbounded region, so its disc is a black
@@ -215,14 +216,13 @@ def reidemeister1(state, kind, sign=1):
         raise ValueError("kink kind must be 'bridge' or 'loop'")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = state.copy()
-    m = out.diagram
+    m = state.diagram
     if m.outer_top_arc is None:
         raise ValueError("diagram does not track an outer top arc")
     a1, a2 = m.outer_top_arc
     over = ("/" if sign > 0 else "\\") if kind == "bridge" else \
            ("\\" if sign > 0 else "/")
-    label = _new_crossing(out, sign, over)
+    label = _new_crossing(state, sign, over)
 
     if kind == "bridge":
         _join(m.arcs, a1, (label, "SW"))
@@ -238,15 +238,14 @@ def reidemeister1(state, kind, sign=1):
         colkind, letter = "external", "l"
     m.columns = None
 
-    am = out.matrix
+    am = state.matrix
     am.rows.append(label)
     nc = len(am.columns)
     am.columns.append(Column(colkind, ("grown", label)))
     am.entries[(am.n - 1, nc)] = _entry(am, letter, sign < 0, 1)
-    return out
 
 
-def reidemeister2(state, placement):
+def _reidemeister2(state, placement):
     """Oppositely-signed pair on the last edge, in series or in parallel.
 
     The first new crossing copies the last edge's sign, the second takes
@@ -254,31 +253,55 @@ def reidemeister2(state, placement):
     """
     if placement not in ("series", "parallel"):
         raise ValueError("placement must be 'series' or 'parallel'")
-    op = subdivide if placement == "series" else double
+    op = _subdivide if placement == "series" else _double
     s = _last_sign(state)
-    return op(op(state, s), -s)
+    op(state, s)
+    op(state, -s)
 
 
-#: CLI spellings -> surgery callables on a state
+def _on_a_copy(surgery):
+    """The move as a function: it grows a copy and returns it."""
+    @functools.wraps(surgery)
+    def move(state, *args, **kwargs):
+        out = state.copy()
+        surgery(out, *args, **kwargs)
+        return out
+    return move
+
+
+subdivide = _on_a_copy(_subdivide)
+double = _on_a_copy(_double)
+reidemeister1 = _on_a_copy(_reidemeister1)
+reidemeister2 = _on_a_copy(_reidemeister2)
+
+#: CLI spellings -> surgeries that grow a state in place
 MOVES = {
-    "subdivide": subdivide,
-    "double": double,
-    "r1:bridge": lambda st: reidemeister1(st, "bridge", 1),
-    "r1:bridge-": lambda st: reidemeister1(st, "bridge", -1),
-    "r1:loop": lambda st: reidemeister1(st, "loop", 1),
-    "r1:loop-": lambda st: reidemeister1(st, "loop", -1),
-    "r2:series": lambda st: reidemeister2(st, "series"),
-    "r2:parallel": lambda st: reidemeister2(st, "parallel"),
+    "subdivide": _subdivide,
+    "double": _double,
+    "r1:bridge": lambda st: _reidemeister1(st, "bridge", 1),
+    "r1:bridge-": lambda st: _reidemeister1(st, "bridge", -1),
+    "r1:loop": lambda st: _reidemeister1(st, "loop", 1),
+    "r1:loop-": lambda st: _reidemeister1(st, "loop", -1),
+    "r2:series": lambda st: _reidemeister2(st, "series"),
+    "r2:parallel": lambda st: _reidemeister2(st, "parallel"),
 }
 
 
 def apply_moves(state, names):
+    """The state grown by the named moves, left to right.
+
+    The chain grows one copy in place, so it costs one copy of the state
+    rather than one per move; with no moves the state itself comes back.
+    """
+    grown = state
     for name in names:
         if name not in MOVES:
             raise ValueError("unknown extension %r (choose from %s)"
                              % (name, ", ".join(sorted(MOVES))))
-        state = MOVES[name](state)
-    return state
+        if grown is state:
+            grown = state.copy()
+        MOVES[name](grown)
+    return grown
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +322,23 @@ def state_bracket(state):
     return kasteleyn_perm(state.matrix, JONES_TABLE)
 
 
-def state_jones_raw(state, traced=None):
+def state_jones_raw(state, traced=None, det=None):
     """Signed enhanced determinant of a knot state, plus flip flag.
 
     The signed determinant times (-A^-3)^writhe.  One trace of the diagram
     gives both the knot check and the writhe, so the correction is always
     the diagram's own, never an assumption about a move; pass it as traced
-    when the caller already holds it.  Returns (value, flipped), where
-    flipped says whether normalization will negate.
+    when the caller already holds it, and the matrix's determinant over
+    Table 1 as det likewise.  Returns (value, flipped), where flipped says
+    whether normalization will negate.
     """
     t = trace(state.diagram) if traced is None else traced
     if t.components != 1:
         raise ValueError("Jones route needs a knot; this state traces "
                          "%d components" % t.components)
-    val = det_value(state.matrix, JONES_TABLE) * writhe_factor(t.writhe)
+    if det is None:
+        det = det_value(state.matrix, JONES_TABLE)
+    val = det * writhe_factor(t.writhe)
     at1 = val.at_one()
     if at1 not in (1, -1):
         raise RuntimeError("determinant is not a unit at A=1: %s" % at1)

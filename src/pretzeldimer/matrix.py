@@ -17,7 +17,10 @@ The invariants never expand: det_value eliminates (fraction-free, exact
 over Z[A^+-1], unit pivots normalised, on raw {exponent: coefficient}
 dicts) over a letter table (JONES_TABLE in A, KHOVANOV_TABLE in (u, v),
 both defined here) and kasteleyn_perm reads the permanent off the signed
-determinant.  The same kernel counts perfect matchings of signed minors
+determinant.  Elimination takes the columns sparsest first, whatever
+order they are stored in, and corrects the sign by that order's parity,
+so a column a move appends last costs what the same column of a pretzel
+costs.  The same kernel counts perfect matchings of signed minors
 (evaluate.stencil_pair_counts).  expand and perm_value enumerate every
 term; they serve word-level questions and are the slow route elimination
 is checked against.  The enumeration cuts the branches a column's last
@@ -96,7 +99,9 @@ class ActivityMatrix:
         )
 
     def row_entries(self, ri):
-        return sorted((ci, e) for (r, ci), e in self.entries.items() if r == ri)
+        get = self.entries.get
+        return [(ci, e) for ci in range(len(self.columns))
+                if (e := get((ri, ci))) is not None]
 
     def by_region(self):
         """(row label, column region) -> (letter, barred); order-free view."""
@@ -462,14 +467,23 @@ def _eliminate(rows, n):
 
     rows[i] maps column -> {exponent: coefficient}; the rows and their
     entries are consumed (updated in place).  Fraction-free elimination
-    (Bareiss 1968) that normalises unit pivots.  Step k pivots column k on
-    a unit entry +-A^e when one exists, otherwise on the shortest entry.
+    (Bareiss 1968) that normalises unit pivots, in a fill-reducing column
+    order worked out from the matrix: fewest entries first, ties in stored
+    order (the static form of Markowitz 1957).  Step k pivots the k-th
+    column of that order on a unit entry +-A^e when one exists, otherwise
+    on the shortest entry; among equals it takes the row holding the
+    fewest coefficients, since the pivot row is added to every other row
+    of its column, then the lowest row.  Each column keeps the set of unpivoted rows with an entry in
+    it, so a step touches only those rows.  Taking columns and pivot rows
+    out of order permutes the matrix; the parities of the two orders fix
+    the sign at the end.
 
-    * Non-unit pivot p: every later row with an entry a in column k becomes
-      a[i][j] <- (p a[i][j] - a a[k][j]) / p_(k-1), each division exact (a
-      remainder raises ValueError).  A row with nothing in column k only
-      gets scaled by p / p_(k-1), so it is left alone and brought up to
-      date lazily, in one exact division, the next time it is touched.
+    * Non-unit pivot p: every unpivoted row with an entry a in the column
+      becomes a[i][j] <- (p a[i][j] - a a[k][j]) / p_(k-1), each division
+      exact (a remainder raises ValueError).  A row with nothing in the
+      column only gets scaled by p / p_(k-1), so it is left alone and
+      brought up to date lazily, in one exact division, the next time it
+      is touched.
     * Unit pivot u: the pivot row counts as multiplied by u^-1 (an
       exponent shift and a sign, folded into a running unit factor), so
       p_k = 1.  That is done by shifting each row's multiplier a instead
@@ -477,7 +491,12 @@ def _eliminate(rows, n):
       update a[i][j] -= (a / u) a[k][j]: no multiplication by p, no
       division, and no row is left to rescale.
     """
-    order = list(range(n))        # row at each position; k.. still active
+    holders = [set() for _ in range(n)]   # column -> unpivoted rows in it
+    for r, row in enumerate(rows):
+        for j in row:
+            holders[j].add(r)
+    cols = sorted(range(n), key=lambda c: len(holders[c]))   # stable
+    pivots = []                   # pivot row of each step
     stamp = [0] * n               # row i is current as of step stamp[i]
     piv = [_ONE]                  # piv[k] = divisor of step k = p_(k-1)
     shift, sign = 0, 1            # the unit factor sign * A^shift
@@ -489,28 +508,24 @@ def _eliminate(rows, n):
             rows[r] = {j: _div(_mul(a, num), den) for j, a in rows[r].items()}
         stamp[r] = k
 
-    for k in range(n):
-        best = None
-        for pos in range(k, n):
-            r = order[pos]
-            if k not in rows[r]:
-                continue
+    for k, col in enumerate(cols):
+        active = sorted(holders[col])
+        best = pr = None
+        for r in active:
             if stamp[r] != k:
                 current(r, k)
-            a = rows[r][k]
-            if len(a) == 1 and abs(next(iter(a.values()))) == 1:
-                best = (0, pos)
-                break
-            if best is None or len(a) < best[0]:
-                best = (len(a), pos)
+            a = rows[r][col]
+            unit = len(a) == 1 and abs(next(iter(a.values()))) == 1
+            key = (0 if unit else len(a), sum(map(len, rows[r].values())))
+            if best is None or key < best:
+                best, pr = key, r
         if best is None:
             return {}
-        pos = best[1]
-        if pos != k:
-            order[k], order[pos] = order[pos], order[k]
-            sign = -sign
-        prow = rows[order[k]]
-        p = prow.pop(k)
+        pivots.append(pr)
+        prow = rows[pr]
+        p = prow.pop(col)
+        for j in prow:
+            holders[j].discard(pr)
         pe = None
         if not best[0]:               # p = pc * A^pe, folded into the factor
             (pe, pc), = p.items()
@@ -518,16 +533,14 @@ def _eliminate(rows, n):
             sign *= pc
             p = _ONE
         prev = piv[k]
-        for r in order[k + 1:]:
-            if k not in rows[r]:
+        for r in active:              # all brought up to date above
+            if r == pr:
                 continue
-            if stamp[r] != k:
-                current(r, k)
             row = rows[r]
             if pe is None:
-                a = {e: -c for e, c in row.pop(k).items()}
+                a = {e: -c for e, c in row.pop(col).items()}
             else:                     # divided by the unit pivot, negated
-                a = {e - pe: -c * pc for e, c in row.pop(k).items()}
+                a = {e - pe: -c * pc for e, c in row.pop(col).items()}
             if p is not _ONE:
                 for j, x in row.items():
                     row[j] = _mul(x, p)
@@ -535,6 +548,7 @@ def _eliminate(rows, n):
                 t = row.get(j)
                 if t is None:
                     row[j] = _mul(a, y)
+                    holders[j].add(r)
                     continue
                 for e, c in _mul(a, y).items():
                     v = t.get(e, 0) + c
@@ -544,11 +558,13 @@ def _eliminate(rows, n):
                         del t[e]
                 if not t:
                     del row[j]
+                    holders[j].discard(r)
             if prev is not _ONE:
                 for j, x in row.items():
                     row[j] = _div(x, prev)
             stamp[r] = k + 1
         piv.append(p)
+    sign *= _parity(cols) * _parity(pivots)
     return {e + shift: c * sign for e, c in piv[n].items()}
 
 
@@ -581,9 +597,12 @@ def det_value(m, table):
     Computed by elimination (``_eliminate``), never by term expansion, on
     the raw coefficient dicts of the table values: each entry's is copied
     once, negated for a -1 Kasteleyn sign, and one polynomial is made from
-    the result.  With writhe weights (m.enhanced) it is multiplied by
-    (-A^-3)^writhe.  Two-variable tables go through a Kronecker
-    substitution.  A non-square matrix raises ValueError.
+    the result.  The kernel eliminates the columns in a fill-reducing
+    order it works out from the matrix, sparsest first, and corrects the
+    sign by that order's parity; the stored order, which ``pretty`` and
+    ``to_json`` print, is left alone.  With writhe weights (m.enhanced) it
+    is multiplied by (-A^-3)^writhe.  Two-variable tables go through a
+    Kronecker substitution.  A non-square matrix raises ValueError.
     """
     _require_square(m)
     ring = _ring(m, table)
@@ -642,22 +661,29 @@ def _perfect_matching(m):
     return [col_of[r] for r in range(m.n)]
 
 
-def kasteleyn_perm(m, table):
-    """Permanent of a Kasteleyn-signed matrix as eps * det.
+def kasteleyn_sign(m):
+    """eps of a Kasteleyn-signed matrix: permanent = eps * det.
 
     Kasteleyn (1963): every term of a Kasteleyn-signed determinant carries
-    the same sign eps = parity x product of entry signs, so the permanent
-    is eps times the determinant.  eps is read off one perfect matching.
+    the same sign eps = parity x product of entry signs, read here off one
+    perfect matching; 1 when there is none (then the determinant is 0).
     """
     if not m.signed:
         raise ValueError("kasteleyn_perm needs a Kasteleyn-signed matrix")
-    total = det_value(m, table)       # refuses a non-square matrix
+    _require_square(m)
     cols = _perfect_matching(m)
-    if cols is None:                  # no term: the determinant is 0
-        return total
+    if cols is None:
+        return 1
     eps = _parity(cols)
     for ri, ci in enumerate(cols):
         eps *= m.entries[(ri, ci)].sign
+    return eps
+
+
+def kasteleyn_perm(m, table):
+    """Permanent of a Kasteleyn-signed matrix as eps * det."""
+    eps = kasteleyn_sign(m)
+    total = det_value(m, table)
     return total if eps > 0 else -total
 
 

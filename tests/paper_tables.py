@@ -1,12 +1,24 @@
-"""The paper's word tables, for the tests that reproduce them.
+"""The paper's word tables and the desk sweep, for the tests that
+reproduce them.
 
 The series/parallel word shapes of a twist column, the split of a word into
-its columns, the human form of a word, the (u, v) bidegree of a word and
-the perfect matchings of the balanced overlay by backtracking.  The program
-never reads these; the tests hold its words and matrices to them.
+its columns, the human form of a word, the (u, v) bidegree of a word, the
+perfect matchings of the balanced overlay by backtracking, and the one
+desk sweep of specs the tests run over.  The program never reads these;
+the tests hold its words and matrices to them.
 """
+import itertools
 
 from pretzeldimer.activities import split_token
+
+
+def desk_sweep(max_crossings=12):
+    """The desk sweep: k in {2,3,4} columns of entries +-1..4, at most
+    max_crossings crossings (4 112 specs at 12), in product order."""
+    entries = [v for v in range(-4, 5) if v]
+    return [combo for k in (2, 3, 4)
+            for combo in itertools.product(entries, repeat=k)
+            if sum(abs(v) for v in combo) <= max_crossings]
 
 
 def word_str(word, ascii_bars=False):

@@ -6,7 +6,6 @@ in-process.  Criterion 3's references for P(-2,3,7) are checked against
 each other (bracket, writhe, A-form, t-form, V(1) = 1) before the program
 is checked against them; see the comment there for where they come from.
 """
-import itertools
 import json
 import random
 import time
@@ -14,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 from paper_tables import (classify_parallel, classify_series, column_segments,
-                          gradings)
+                          desk_sweep, gradings)
 
 from pretzeldimer.activities import tree_words
 from pretzeldimer.cli import main
@@ -64,13 +63,7 @@ _KNOTS = None
 def sweep_specs():
     global _SWEEP
     if _SWEEP is None:
-        entries = [v for v in range(-4, 5) if v]
-        out = []
-        for k in (2, 3, 4):
-            for combo in itertools.product(entries, repeat=k):
-                if sum(abs(v) for v in combo) <= 12:
-                    out.append(combo)
-        _SWEEP = out
+        _SWEEP = desk_sweep()
     return _SWEEP
 
 

@@ -1,11 +1,10 @@
-import itertools
 import random
 import sys
 import time
 
 import pytest
 from paper_tables import (classify_parallel, classify_series, column_segments,
-                          perfect_matchings, word_str)
+                          desk_sweep, perfect_matchings, word_str)
 
 from pretzeldimer.activities import (
     activity_word,
@@ -239,14 +238,6 @@ def reference_word(g, sets, ranks):
         letter = ("L" if live else "D") if in_tree else ("l" if live else "d")
         letters[e] = token(letter, g.edges[e].sign < 0)
     return tuple(letters[e] for e in sorted(g.edges, key=ranks.__getitem__))
-
-
-def desk_sweep():
-    """k in {2,3,4}, entries +-1..4, at most 12 crossings (4 112 specs)."""
-    entries = [v for v in range(-4, 5) if v]
-    return [combo for k in (2, 3, 4)
-            for combo in itertools.product(entries, repeat=k)
-            if sum(abs(v) for v in combo) <= 12]
 
 
 def _words_match_reference(spec, g, rankings):

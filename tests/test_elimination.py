@@ -3,19 +3,25 @@
 det_value computes determinants by fraction-free elimination and
 kasteleyn_perm turns them into permanents through the global Kasteleyn
 sign; expand and perm_value enumerate every permutation term.  The two
-must agree exactly across the whole desk sweep, on grown states, and on a
-matrix with duplicate words.  The elimination kernel is also held to a
+must agree exactly across the whole desk sweep, on grown states, on long
+move chains and columns of threes, whose columns elimination takes out of
+stored order, and on a matrix with duplicate words; the raw sign of two
+long chains is pinned.  The elimination kernel is also held to a
 Leibniz sum on seeded matrices whose entries are not units, and the
 stencil pair counts, which are determinants of minors, to the word pairs
 the expansion lists.
 """
+import contextlib
+import io
 import itertools
 import math
 import random
 import time
 
 import pytest
+from paper_tables import desk_sweep
 
+from pretzeldimer.cli import main
 from pretzeldimer.diagram import build_diagram, trace
 from pretzeldimer.evaluate import (JONES_TABLE, KHOVANOV_TABLE,
                                    pipeline_matrix, scan_differentials,
@@ -32,23 +38,24 @@ from pretzeldimer.taitgraphs import build_overlay, solve_kasteleyn
 BUDGET_S = 60
 
 
-def desk_sweep():
-    """k in {2,3,4}, entries +-1..4, at most 12 crossings (4 112 specs)."""
-    entries = [v for v in range(-4, 5) if v]
-    return [combo for k in (2, 3, 4)
-            for combo in itertools.product(entries, repeat=k)
-            if sum(abs(v) for v in combo) <= 12]
-
-
 def signed_term_sum(m, table, check_duplicates=True):
-    """sum of parity x Kasteleyn sign x evaluated word over all terms."""
-    total = Laurent.zero()
+    """sum of parity x Kasteleyn sign x evaluated word over all terms.
+
+    Every letter of a one-variable table is a monomial c A^e, so a term
+    weighs parity x Kasteleyn sign x (product of the c) A^(sum of the e),
+    added up as plain integers.
+    """
+    assert all(len(val.coeffs) == 1 for val in table.values())
+    mono = {tok: next(iter(val.coeffs.items())) for tok, val in table.items()}
+    total = {}
     for t in expand(m, check_duplicates=check_duplicates):
-        poly = Laurent.term(t.parity * t.ksign)
+        e, c = 0, t.parity * t.ksign
         for tok in t.word:
-            poly = poly * table[tok]
-        total = total + poly
-    return total
+            de, dc = mono[tok]
+            e += de
+            c *= dc
+        total[e] = total.get(e, 0) + c
+    return Laurent(total)
 
 
 def kink(m):
@@ -108,6 +115,61 @@ def test_elimination_matches_expansion_with_duplicate_words():
 
 
 # ---------------------------------------------------------------------------
+# the column order on long chains and many columns: det_value takes the
+# sparsest columns first, so a grown state's columns, stored last, go
+# first, and an odd order negates the result
+
+def check_exact(st):
+    """det_value, sign included, against the signed term sum, and against
+    the sum times the kink factor on the writhe-weighted matrix of a knot."""
+    m = st.matrix
+    want = signed_term_sum(m, JONES_TABLE)
+    assert det_value(m, JONES_TABLE) == want
+    if trace(st.diagram).components == 1:
+        weighted = enhance(m, st.diagram)
+        assert det_value(weighted, JONES_TABLE) == want * kink(weighted)
+
+
+@pytest.mark.parametrize("moves", [8, 16, 33, 64])
+@pytest.mark.parametrize("spec", [(-2, 3, 11), (2, -3, -11), (3, 3, 3)])
+def test_det_value_exact_on_subdivide_chains(spec, moves):
+    check_exact(apply_moves(initial_state(spec), ["subdivide"] * moves))
+
+
+@pytest.mark.parametrize("move", ["r2:parallel", "r2:series"])
+@pytest.mark.parametrize("spec", [(-2, 3, 7), (3, 3, 3), (2, 2)])
+def test_det_value_exact_on_r2_chains(spec, move):
+    for moves in range(1, 9):
+        check_exact(apply_moves(initial_state(spec), [move] * moves))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_det_value_exact_on_columns_of_three(k):
+    check_exact(initial_state((3,) * k))
+
+
+def jones_raw_sign(*argv):
+    """The two lines ``jones --raw-sign`` prints: polynomial and sign."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["jones", *argv, "--raw-sign"]) == 0
+    return out.getvalue().splitlines()
+
+
+def test_raw_sign_of_long_chains_is_pinned():
+    # V(1) = 1 hides a sign slip in the polynomial but not in the raw
+    # sign.  Both chains are eliminated in an odd column order; the signs
+    # are those of elimination in stored column order.
+    poly, sign = jones_raw_sign("P(3,3,3)", *["--extend", "subdivide"] * 63)
+    assert sign == "raw determinant sign: +1"
+    assert poly == jones_raw_sign("P(3,3,66)")[0]
+    poly, sign = jones_raw_sign("P(3,3,3)", *["--extend", "r2:parallel"] * 8)
+    assert sign == "raw determinant sign: -1"
+    assert poly == ("-t^-10 + t^-9 - 3t^-8 + 4t^-7 - 3t^-6 + 5t^-5 - 4t^-4 "
+                    "+ 3t^-3 - 2t^-2 + t^-1")
+
+
+# ---------------------------------------------------------------------------
 # the kernel on entries that are not units
 
 def L(*pairs):
@@ -129,10 +191,11 @@ POOL_UV = [Laurent2(c) for c in (
 def fixed_matrices(ring):
     """Hand-made matrices whose second pivot is a unit after a non-unit one.
 
-    Column 0 holds no unit, so step 0 pivots on 2 (on 2x in the second
-    matrix); the update leaves 2 * 2 - 3 * 1 = 1 (2x * 2 - 3 * x = x), a
-    unit, in column 1 for step 1, and a third row for that step to update
-    over a non-unit divisor.
+    Column 0 has the fewest entries and holds no unit, so step 0 pivots on
+    2 (on 2x in the second matrix); columns 1 and 2 tie on three entries,
+    so column 1 comes next, and the update leaves 2 * 2 - 3 * 1 = 1
+    (2x * 2 - 3 * x = x), a unit, in it for step 1, and a third row for
+    that step to update over a non-unit divisor.
     """
     def c(v, e=0):
         return ring({(e, 0) if ring is Laurent2 else e: v})
@@ -140,8 +203,9 @@ def fixed_matrices(ring):
     one, two, three = c(1), c(2), c(3)
     x, x_inv = c(1, 1), c(1, -1)
     return [
-        [{0: two, 1: one}, {0: three, 1: two, 2: one}, {1: one, 2: one}],
-        [{0: c(2, 1), 1: x}, {0: three, 1: two, 2: one},
+        [{0: two, 1: one, 2: one}, {0: three, 1: two, 2: one},
+         {1: one, 2: one}],
+        [{0: c(2, 1), 1: x, 2: one}, {0: three, 1: two, 2: one},
          {1: x_inv, 2: one + x}],
     ]
 

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from paper_tables import gradings
+from paper_tables import desk_sweep, gradings
 
 from pretzeldimer.activities import activity_word, spanning_trees
 from pretzeldimer.diagram import build_diagram, trace, writhe
@@ -247,10 +247,7 @@ def scan_specs():
     P(-2,3,2m+1) for m = 2, 4, ..., 26, each with its mirror image; then
     P(-2,3,401), P(-2,3,801) and P(3^25).
     """
-    entries = [v for v in range(-4, 5) if v]
-    desk = [combo for k in (2, 3, 4)
-            for combo in itertools.product(entries, repeat=k)
-            if sum(abs(v) for v in combo) <= 12]
+    desk = desk_sweep()
     wide = [(2, 3, 3, 3, 3), (1, 3, 3, 3, 5), (3, 3, 3, 3, 3),
             (3, 3, 3, 3, 4), (3, 3, 3, 3, 5), (3, 3, 3, 4, 5),
             (2, 3, 3, 3, 3, 3), (3, 3, 3, 5, 5), (3, 3, 5, 5, 5),

@@ -1,10 +1,10 @@
 import hashlib
-import itertools
 import random
 import sys
 import time
 
 import pytest
+from paper_tables import desk_sweep
 
 from pretzeldimer.activities import tree_words
 from pretzeldimer.extend import MOVES, apply_moves, initial_state
@@ -385,14 +385,6 @@ def reference_terms(m):
 
     rec(0)
     return terms
-
-
-def desk_sweep():
-    """k in {2,3,4}, entries +-1..4, at most 12 crossings (4 112 specs)."""
-    entries = [v for v in range(-4, 5) if v]
-    return [combo for k in (2, 3, 4)
-            for combo in itertools.product(entries, repeat=k)
-            if sum(abs(v) for v in combo) <= 12]
 
 
 def test_expansion_matches_reference_on_desk_sweep():

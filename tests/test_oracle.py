@@ -1,6 +1,7 @@
-import itertools
 import random
 import time
+
+from paper_tables import desk_sweep
 
 from pretzeldimer.diagram import build_diagram, trace
 from pretzeldimer.extend import (MOVES, apply_moves, initial_state,
@@ -145,14 +146,6 @@ def reference_state_sum_bracket(diagram):
     for (exp, loops), mult in counts.items():
         total = total + Laurent.term(mult, exp) * delta ** (loops - 1)
     return total
-
-
-def desk_sweep(max_crossings):
-    """Desk specs (k in {2,3,4}, entries +-1..4) up to max_crossings."""
-    entries = [v for v in range(-4, 5) if v]
-    return [combo for k in (2, 3, 4)
-            for combo in itertools.product(entries, repeat=k)
-            if sum(abs(v) for v in combo) <= max_crossings]
 
 
 def test_rollback_state_sum_matches_reference_on_desk_sweep():

@@ -101,8 +101,9 @@ def test_verify_json_builds_one_state(monkeypatch):
     # verify checks the signs the state's matrix carries, not a second set
     assert counts["kasteleyn_negatives"] == 1
     assert counts["solve_kasteleyn"] == 0
-    # the bracket, the Jones polynomial and the Poincare polynomial
-    assert counts["det_value"] == 3
+    # one Table-1 determinant for the bracket and the Jones polynomial,
+    # one Table-2 determinant for the Poincare polynomial
+    assert counts["det_value"] == 2
     # verify's own trace serves the bundle's Jones and Poincare knot checks
     assert counts["trace"] == 1
 
