@@ -10,7 +10,8 @@ Four subcommands tie the pipeline together:
   and differential-stencil report.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or parse
-error, 3 domain refusal (a link where a knot is required).
+error (including a spec of more than diagram.MAX_CROSSINGS crossings), 3
+domain refusal (a link where a knot is required).
 
 ``--extend`` grows the object before evaluation and may be repeated; moves
 apply left to right.

@@ -16,10 +16,12 @@ writhe, component count, the skein state sum — is derived from this wiring.
 
 import json
 import re
-import sys
 from collections import namedtuple
 
 CORNERS = ("NW", "NE", "SW", "SE")
+
+#: most crossings a spec may have; a state takes ~2 KB each (README)
+MAX_CROSSINGS = 10 ** 6
 
 # passing through a crossing continues along the same diagonal
 PASS = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
@@ -135,8 +137,8 @@ def parse_spec(text):
         if v == 0:
             raise ValueError("pretzel entries must be nonzero")
         out.append(v)
-    if sum(map(abs, out)) > sys.maxsize:        # labels are list indices
-        raise ValueError("more than %d crossings" % sys.maxsize)
+    if sum(map(abs, out)) > MAX_CROSSINGS:
+        raise ValueError("more than %d crossings" % MAX_CROSSINGS)
     return tuple(out)
 
 

@@ -242,19 +242,21 @@ def state_invariants(state, traced=None):
     """Bracket of any state; Jones, Poincare and stencils of a knot.
 
     One trace of the diagram serves every knot check; pass it as traced
-    when the caller already holds it.  A knot's bracket and Jones
-    polynomial share one determinant over Table 1: the bracket is
-    eps * det (matrix.kasteleyn_sign), the Jones polynomial det x kink.
+    when the caller already holds it.  The bracket is eps * det over
+    Table 1, with eps = matrix.kasteleyn_sign, and the Jones polynomial
+    the same det x kink; the Poincare polynomial is eps * det over Table 2.
     """
     if traced is None:
         traced = trace(state.diagram)
     if traced.components != 1:
         return Invariants(state_bracket(state))
     m = state.matrix
+    eps = kasteleyn_sign(m)
     det = det_value(m, JONES_TABLE)
-    return Invariants(det if kasteleyn_sign(m) > 0 else -det,
+    poincare = det_value(m, KHOVANOV_TABLE)
+    return Invariants(det if eps > 0 else -det,
                       normalized(state_jones_raw(state, traced, det)),
-                      state_khovanov_poincare(state, traced),
+                      poincare if eps > 0 else -poincare,
                       scan_differentials(m))
 
 

@@ -108,7 +108,7 @@ def _last_sign(state):
 
 
 def _new_crossing(state, sign, over):
-    label = max(state.diagram.crossings) + 1
+    label = state.matrix.n + 1          # labels are 1..n, one per row
     state.diagram.crossings[label] = Crossing(label, over, sign)
     return label
 
@@ -365,14 +365,12 @@ def state_jones(state):
     return state_jones_in_A(state).reexpress(-4)
 
 
-def state_khovanov_poincare(state, traced=None):
+def state_khovanov_poincare(state):
     """Bigraded Poincare polynomial in (u, v) of a knot state.
 
     All-positive form: each coefficient counts the spanning trees of that
-    bidegree.  traced is the diagram's trace, when the caller holds it.
+    bidegree.
     """
-    if traced is None:
-        traced = trace(state.diagram)
-    if traced.components != 1:
+    if trace(state.diagram).components != 1:
         raise ValueError("Poincare polynomial route needs a knot")
     return kasteleyn_perm(state.matrix, KHOVANOV_TABLE)

@@ -20,7 +20,9 @@ both defined here) and kasteleyn_perm reads the permanent off the signed
 determinant.  Elimination takes the columns sparsest first, whatever
 order they are stored in, and corrects the sign by that order's parity,
 so a column a move appends last costs what the same column of a pretzel
-costs.  The same kernel counts perfect matchings of signed minors
+costs.  It pivots on up-to-date rows and updates a stale row with one
+exact division, so P(3^k) and P(-2,3,n) take no polynomial division.
+The same kernel counts perfect matchings of signed minors
 (evaluate.stencil_pair_counts).  expand and perm_value enumerate every
 term; they serve word-level questions and are the slow route elimination
 is checked against.  The enumeration cuts the branches a column's last
@@ -469,27 +471,27 @@ def _eliminate(rows, n):
     entries are consumed (updated in place).  Fraction-free elimination
     (Bareiss 1968) that normalises unit pivots, in a fill-reducing column
     order worked out from the matrix: fewest entries first, ties in stored
-    order (the static form of Markowitz 1957).  Step k pivots the k-th
-    column of that order on a unit entry +-A^e when one exists, otherwise
-    on the shortest entry; among equals it takes the row holding the
-    fewest coefficients, since the pivot row is added to every other row
-    of its column, then the lowest row.  Each column keeps the set of unpivoted rows with an entry in
-    it, so a step touches only those rows.  Taking columns and pivot rows
-    out of order permutes the matrix; the parities of the two orders fix
-    the sign at the end.
+    order (the static form of Markowitz 1957).  Each column keeps the set
+    of unpivoted rows with an entry in it, so a step touches only those
+    rows.  Taking columns and pivot rows out of order permutes the matrix;
+    the parities of the two orders fix the sign at the end.
 
-    * Non-unit pivot p: every unpivoted row with an entry a in the column
-      becomes a[i][j] <- (p a[i][j] - a a[k][j]) / p_(k-1), each division
-      exact (a remainder raises ValueError).  A row with nothing in the
-      column only gets scaled by p / p_(k-1), so it is left alone and
-      brought up to date lazily, in one exact division, the next time it
-      is touched.
-    * Unit pivot u: the pivot row counts as multiplied by u^-1 (an
-      exponent shift and a sign, folded into a running unit factor), so
-      p_k = 1.  That is done by shifting each row's multiplier a instead
-      of the pivot row.  When p_(k-1) = 1 too, the step is the in-place
-      update a[i][j] -= (a / u) a[k][j]: no multiplication by p, no
-      division, and no row is left to rescale.
+    Step k divides by p_(k-1), the previous pivot (1 at the start).  A
+    row with nothing in the pivot's column would only be scaled by
+    p_k / p_(k-1), so it is left alone; a row holding its step-s values is
+    current at step k when p_(s-1) = p_(k-1), and stale otherwise.
+
+    * Pivot: a unit entry +-A^e of a current row first, then any current
+      row, then the shortest entry, then the row holding the fewest
+      coefficients (the pivot row is added to every other row of its
+      column), then the lowest row.  A stale pivot row P alone is brought
+      up to date: P <- P p_(k-1) / p_(s-1).
+    * Update: every other row R with an entry a in the column becomes
+      (p R - a P) / p_(s-1).  By Bareiss's identity that is R rescaled to
+      step k, updated and divided by p_(k-1): one exact division (a
+      remainder raises ValueError), none when p_(s-1) = 1.
+    * Unit pivot u: P counts as multiplied by u^-1, folded into a running
+      unit factor, so p_k = 1 and the update is R -= (a / u) P.
     """
     holders = [set() for _ in range(n)]   # column -> unpivoted rows in it
     for r, row in enumerate(rows):
@@ -497,50 +499,42 @@ def _eliminate(rows, n):
             holders[j].add(r)
     cols = sorted(range(n), key=lambda c: len(holders[c]))   # stable
     pivots = []                   # pivot row of each step
-    stamp = [0] * n               # row i is current as of step stamp[i]
+    stamp = [0] * n               # row i holds its step-stamp[i] values
     piv = [_ONE]                  # piv[k] = divisor of step k = p_(k-1)
     shift, sign = 0, 1            # the unit factor sign * A^shift
-
-    def current(r, k):
-        s = stamp[r]
-        if piv[s] != piv[k]:
-            num, den = piv[k], piv[s]
-            rows[r] = {j: _div(_mul(a, num), den) for j, a in rows[r].items()}
-        stamp[r] = k
 
     for k, col in enumerate(cols):
         active = sorted(holders[col])
         best = pr = None
         for r in active:
-            if stamp[r] != k:
-                current(r, k)
             a = rows[r][col]
-            unit = len(a) == 1 and abs(next(iter(a.values()))) == 1
-            key = (0 if unit else len(a), sum(map(len, rows[r].values())))
+            stale = piv[stamp[r]] != piv[k]
+            unit = not stale and len(a) == 1 and abs(*a.values()) == 1
+            key = (not unit, stale, len(a), sum(map(len, rows[r].values())))
             if best is None or key < best:
                 best, pr = key, r
         if best is None:
             return {}
         pivots.append(pr)
         prow = rows[pr]
+        if best[1]:                   # stale: P <- P p_(k-1) / p_(s-1)
+            den = piv[stamp[pr]]
+            prow = {j: _div(_mul(x, piv[k]), den) for j, x in prow.items()}
         p = prow.pop(col)
         for j in prow:
             holders[j].discard(pr)
-        pe = None
-        if not best[0]:               # p = pc * A^pe, folded into the factor
+        pe, pc = 0, 1
+        if not best[0]:               # fold the unit pivot into the factor
             (pe, pc), = p.items()
             shift += pe
             sign *= pc
             p = _ONE
-        prev = piv[k]
-        for r in active:              # all brought up to date above
+        for r in active:
             if r == pr:
                 continue
             row = rows[r]
-            if pe is None:
-                a = {e: -c for e, c in row.pop(col).items()}
-            else:                     # divided by the unit pivot, negated
-                a = {e - pe: -c * pc for e, c in row.pop(col).items()}
+            # -a, divided by the unit pivot when there is one
+            a = {e - pe: -c * pc for e, c in row.pop(col).items()}
             if p is not _ONE:
                 for j, x in row.items():
                     row[j] = _mul(x, p)
@@ -559,9 +553,10 @@ def _eliminate(rows, n):
                 if not t:
                     del row[j]
                     holders[j].discard(r)
-            if prev is not _ONE:
+            den = piv[stamp[r]]
+            if den is not _ONE:
                 for j, x in row.items():
-                    row[j] = _div(x, prev)
+                    row[j] = _div(x, den)
             stamp[r] = k + 1
         piv.append(p)
     sign *= _parity(cols) * _parity(pivots)
@@ -600,9 +595,11 @@ def det_value(m, table):
     the result.  The kernel eliminates the columns in a fill-reducing
     order it works out from the matrix, sparsest first, and corrects the
     sign by that order's parity; the stored order, which ``pretty`` and
-    ``to_json`` print, is left alone.  With writhe weights (m.enhanced) it
-    is multiplied by (-A^-3)^writhe.  Two-variable tables go through a
-    Kronecker substitution.  A non-square matrix raises ValueError.
+    ``to_json`` print, is left alone.  It pivots on up-to-date rows first
+    and updates a stale row with one exact division.  With writhe weights
+    (m.enhanced) it is multiplied by (-A^-3)^writhe.  Two-variable tables
+    go through a Kronecker substitution.  A non-square matrix raises
+    ValueError.
     """
     _require_square(m)
     ring = _ring(m, table)

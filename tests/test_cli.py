@@ -8,6 +8,7 @@ import pytest
 
 import pretzeldimer
 from pretzeldimer.cli import main
+from pretzeldimer.diagram import MAX_CROSSINGS
 
 # golden byte-for-byte outputs for the three worked knots
 GOLDEN_JONES = {
@@ -89,11 +90,14 @@ def test_parse_error_exits_2(capsys):
 
 @pytest.mark.parametrize("command", ["jones", "matrix", "khovanov", "verify"])
 def test_huge_entries_exit_2(capsys, command):
-    # more crossings than a list index holds: refused while parsing, before
-    # any label exists
-    for spec in ("P(99999999999999999999)", "P(2,-3,99999999999999999999)"):
+    # more crossings than MAX_CROSSINGS: refused while parsing, before any
+    # label exists, even where every entry fits a list index
+    for spec in ("P(99999999999999999999)", "P(2,-3,99999999999999999999)",
+                 "P(9223372036854775807)", "P(9223372036854775806,1)",
+                 "P(%d)" % (MAX_CROSSINGS + 1)):
         code, _, err = run(capsys, command, spec)
         assert code == 2 and err.startswith("error:")
+        assert "more than %d crossings" % MAX_CROSSINGS in err
         assert "Traceback" not in err
 
 

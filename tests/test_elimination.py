@@ -6,7 +6,8 @@ sign; expand and perm_value enumerate every permutation term.  The two
 must agree exactly across the whole desk sweep, on grown states, on long
 move chains and columns of threes, whose columns elimination takes out of
 stored order, and on a matrix with duplicate words; the raw sign of two
-long chains is pinned.  The elimination kernel is also held to a
+long chains is pinned, and columns of threes must eliminate with no
+polynomial division.  The elimination kernel is also held to a
 Leibniz sum on seeded matrices whose entries are not units, and the
 stencil pair counts, which are determinants of minors, to the word pairs
 the expansion lists.
@@ -21,6 +22,7 @@ import time
 import pytest
 from paper_tables import desk_sweep
 
+from pretzeldimer import matrix
 from pretzeldimer.cli import main
 from pretzeldimer.diagram import build_diagram, trace
 from pretzeldimer.evaluate import (JONES_TABLE, KHOVANOV_TABLE,
@@ -146,6 +148,28 @@ def test_det_value_exact_on_r2_chains(spec, move):
 @pytest.mark.parametrize("k", range(1, 10))
 def test_det_value_exact_on_columns_of_three(k):
     check_exact(initial_state((3,) * k))
+
+
+#: polynomial products the kernel made on P(3^k) when it rescaled every
+#: candidate row before pivoting; it also made 28, 113 and 193 divisions
+PRODUCTS_BEFORE = {8: 72, 25: 259, 41: 435}
+
+
+@pytest.mark.parametrize("table", [JONES_TABLE, KHOVANOV_TABLE],
+                         ids=["Table 1", "Table 2"])
+@pytest.mark.parametrize("k", sorted(PRODUCTS_BEFORE))
+def test_columns_of_three_eliminate_without_division(monkeypatch, k, table):
+    # a row is divided only when its own step's divisor is not 1, and on
+    # P(3^k) every row is updated over the divisor 1
+    calls = {"_mul": 0, "_div": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(matrix, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(matrix, name, counted)
+    det_value(initial_state((3,) * k).matrix, table)
+    assert calls["_div"] == 0
+    assert calls["_mul"] <= PRODUCTS_BEFORE[k]
 
 
 def jones_raw_sign(*argv):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pretzeldimer.diagram import build_diagram, trace
@@ -201,6 +203,23 @@ def test_apply_moves_chain():
                          ["r2:series", "r2:parallel", "r1:bridge", "r1:loop-"])
         assert state_jones_in_A(st) == jones_in_A(spec)
         assert state_bracket(st) == state_sum_bracket(st.diagram)
+
+
+def test_move_chains_keep_labels_contiguous():
+    # a move labels its crossing n + 1, so rows and crossings stay 1..n
+    rng = random.Random(5)
+    names = sorted(MOVES)
+    for _ in range(200):
+        st = initial_state(tuple(rng.choice((-1, 1)) * rng.randint(1, 5)
+                                 for _ in range(rng.randint(1, 4))))
+        for _ in range(rng.randint(1, 8)):
+            try:
+                st = apply_moves(st, [rng.choice(names)])
+            except ValueError:        # an edge extension off a non-twist top
+                continue
+            labels = list(range(1, st.n + 1))
+            assert st.matrix.rows == labels
+            assert sorted(st.diagram.crossings) == labels
 
 
 def test_apply_moves_rejects_unknown_names():

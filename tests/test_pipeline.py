@@ -61,7 +61,7 @@ def test_benchmark_names_resolve():
 COUNTED = {
     "diagram": ("build_diagram", "trace"),
     "taitgraphs": ("build_overlay", "solve_kasteleyn", "kasteleyn_negatives"),
-    "matrix": ("signed_block_matrix", "det_value"),
+    "matrix": ("signed_block_matrix", "det_value", "kasteleyn_sign"),
 }
 
 
@@ -139,6 +139,14 @@ def test_verify_json_on_a_link_eliminates_once(monkeypatch):
     code, counts = count_calls(monkeypatch, ["verify", "--json", "P(2,2)"])
     assert code == 0
     assert counts["det_value"] == 1
+
+
+def test_verify_on_a_knot_finds_one_matching(monkeypatch):
+    # the bracket and the Poincare polynomial share one Kasteleyn sign
+    code, counts = count_calls(monkeypatch, ["verify", "P(-2,3,7)"])
+    assert code == 0
+    assert counts["kasteleyn_sign"] == 1
+    assert counts["det_value"] == 2           # Table 1 and Table 2
 
 
 def test_jones_traces_once(monkeypatch):

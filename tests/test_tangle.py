@@ -1,0 +1,87 @@
+"""The matrix bracket held to a spec-only oracle far past expansion.
+
+``tangle_bracket`` reads nothing but the spec.  The standard pretzel
+diagram is the numerator closure of the tangle sum of its twist columns
+(Conway 1970, "An enumeration of knots and links"), and the Kauffman
+bracket of a tangle is f<0> + g<oo> in Conway's basis (Kauffman 1987,
+"State models and the Jones polynomial"; Landvoy 1998, "The Jones
+polynomial of pretzel knots and links"):
+
+* a column of |n| crossings, each A^s <oo> + A^-s <0> with s the sign of
+  n, has g = A^(s|n|) and f the geometric sum of the monomials
+  (-1)^j A^(s(|n| - 2 - 4j)), j < |n|, since stacking one crossing maps
+  (f, g) to (f (A^s + A^-s delta) + g A^-s, g A^s) and
+  A^s + A^-s delta = -A^(-3s);
+* columns add by <0> + T = T and <oo> + <oo> = delta <oo>, with
+  delta = -A^2 - A^-2;
+* the closure sends <0> to delta and <oo> to 1.
+
+A column costs O(|n|) and the sum O(k) polynomial products, so the oracle
+reaches sizes where the term expansion, with its sum over i of the product
+over j != i of |n_j| terms, cannot.
+"""
+import random
+import time
+
+import pytest
+
+from pretzeldimer.diagram import build_diagram, trace
+from pretzeldimer.extend import initial_state, state_bracket
+from pretzeldimer.laurent import Laurent
+
+#: seconds each sweep below may take
+TANGLE_BUDGET_S = 60
+
+DELTA = Laurent({2: -1, -2: -1})
+
+
+def twist_column(n):
+    """(f, g): the bracket f<0> + g<oo> of a column of n crossings."""
+    s, m = (1, n) if n > 0 else (-1, -n)
+    f = Laurent({s * (m - 2 - 4 * j): (-1) ** j for j in range(m)})
+    return f, Laurent.term(1, s * m)
+
+
+def tangle_bracket(spec):
+    """Kauffman bracket of P(spec) from the spec alone."""
+    f, g = Laurent.one(), Laurent()           # <0>, the sum's identity
+    for n in spec:
+        cf, cg = twist_column(n)
+        f, g = f * cf, f * cg + g * cf + DELTA * g * cg
+    return DELTA * f + g
+
+
+def test_tangle_bracket_small_cases():
+    # a positive kink, the trefoil and the (2,2) torus link, as the state
+    # sum's tests pin them
+    assert tangle_bracket((1,)) == Laurent({-3: -1})
+    assert tangle_bracket((1, 1, 1)) == Laurent({-5: -1, 3: -1, 7: 1})
+    assert tangle_bracket((2, 2)) == \
+        Laurent({6: -1, -2: -1, -6: 1, -10: -1})
+
+
+@pytest.mark.parametrize("specs", [
+    [(3,) * k for k in range(1, 102)],
+    [(-2, 3, 1601), (-2, 3, 1600), (2, -3, -801)],
+], ids=["P(3^k), k <= 101", "long columns"])
+def test_matrix_bracket_matches_tangles_at_scale(specs):
+    t0 = time.perf_counter()
+    for spec in specs:
+        assert state_bracket(initial_state(spec)) == tangle_bracket(spec), \
+            spec
+    assert time.perf_counter() - t0 < TANGLE_BUDGET_S
+
+
+def test_matrix_bracket_matches_tangles_on_random_specs():
+    # knots and links alike, up to 25 columns of up to 50 crossings
+    rng = random.Random(2027)
+    t0 = time.perf_counter()
+    components = set()
+    for _ in range(12):
+        spec = tuple(rng.choice((-1, 1)) * rng.randint(1, 50)
+                     for _ in range(rng.randint(1, 25)))
+        assert state_bracket(initial_state(spec)) == tangle_bracket(spec), \
+            spec
+        components.add(trace(build_diagram(spec)).components == 1)
+    assert components == {True, False}
+    assert time.perf_counter() - t0 < TANGLE_BUDGET_S
