@@ -209,14 +209,10 @@ def build_diagram(spec):
         [[1 if v > 0 else -1] * abs(v) for v in spec])
 
 
-class Trace(namedtuple("Trace", "components signs writhe seeds")):
+class Trace(namedtuple("Trace", "components signs writhe")):
     """A traced orientation: the component count, label -> +1/-1 crossing
-    signs under it, the writhe and the port each component started at."""
+    signs under it, and the writhe."""
     __slots__ = ()
-
-    def __new__(cls, components, signs, writhe, seeds=None):
-        return super().__new__(cls, components, signs, writhe,
-                               [] if seeds is None else seeds)
 
 
 def trace(diagram, seed=None):
@@ -230,7 +226,6 @@ def trace(diagram, seed=None):
     """
     unvisited = set(diagram.ports())
     passages = {}   # label -> {diagonal: direction vector}
-    seeds = []
     components = 0
     while unvisited:
         if components == 0 and seed is not None:
@@ -241,7 +236,6 @@ def trace(diagram, seed=None):
             entry = (1, "NW")
         else:
             entry = min(unvisited, key=lambda p: (p[0], CORNERS.index(p[1])))
-        seeds.append(entry)
         components += 1
         start = entry
         while True:
@@ -268,7 +262,7 @@ def trace(diagram, seed=None):
         signs[label] = (ox * uy - oy * ux) // 2
 
     return Trace(components=components, signs=signs,
-                 writhe=sum(signs.values()), seeds=seeds)
+                 writhe=sum(signs.values()))
 
 
 def components(diagram):

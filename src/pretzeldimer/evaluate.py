@@ -23,12 +23,13 @@ the counts are checked against.
 from collections import namedtuple
 
 from .diagram import trace
-from .extend import (initial_state, normalized, state_bracket,
-                     state_jones, state_jones_in_A, state_jones_raw,
+from .extend import (initial_state, normalized, signed_bracket,
+                     signed_poincare, state_bracket, state_jones,
+                     state_jones_in_A, state_jones_raw,
                      state_khovanov_poincare, state_matrix)
 from .laurent import Laurent, Laurent2, writhe_factor  # noqa: F401  (public)
 from .matrix import (JONES_TABLE, KHOVANOV_TABLE,  # noqa: F401  (tables)
-                     ActivityMatrix, det_value, expand, kasteleyn_sign)
+                     ActivityMatrix, det_value, expand)
 from .taitgraphs import region_name
 
 
@@ -242,21 +243,21 @@ def state_invariants(state, traced=None):
     """Bracket of any state; Jones, Poincare and stencils of a knot.
 
     One trace of the diagram serves every knot check; pass it as traced
-    when the caller already holds it.  The bracket is eps * det over
-    Table 1, with eps = matrix.kasteleyn_sign, and the Jones polynomial
-    the same det x kink; the Poincare polynomial is eps * det over Table 2.
+    when the caller already holds it.  One determinant over Table 1 gives
+    the bracket (extend.signed_bracket) and the Jones polynomial
+    (extend.state_jones_raw); one over Table 2 gives the Poincare
+    polynomial (extend.signed_poincare).  Each sign comes from the
+    invariant's own value.
     """
     if traced is None:
         traced = trace(state.diagram)
     if traced.components != 1:
         return Invariants(state_bracket(state))
     m = state.matrix
-    eps = kasteleyn_sign(m)
     det = det_value(m, JONES_TABLE)
-    poincare = det_value(m, KHOVANOV_TABLE)
-    return Invariants(det if eps > 0 else -det,
+    return Invariants(signed_bracket(det, m.n),
                       normalized(state_jones_raw(state, traced, det)),
-                      poincare if eps > 0 else -poincare,
+                      signed_poincare(det_value(m, KHOVANOV_TABLE)),
                       scan_differentials(m))
 
 

@@ -6,8 +6,10 @@ and a diagram; the spec functions in ``evaluate`` and every CLI command
 start from it.  Each invariant is one function of a state: the bracket,
 the Jones polynomial (its knot check, the unit check at A = 1 and the
 V(1) = 1 sign normalisation live in ``state_jones_raw`` and
-``normalized``), the Poincare polynomial and the matrix views ``matrix``
-prints.
+``normalized``; the writhe factor is applied there and nowhere else), the
+Poincare polynomial and the matrix views ``matrix`` prints.  Each
+invariant is one determinant whose global sign is read off its own value
+(``normalized``, ``signed_bracket``, ``signed_poincare``).
 
 Each move splices one crossing into the diagram **and** appends the
 matching row/column to the activity matrix, so invariants of the larger
@@ -44,7 +46,7 @@ from .activities import split_token, token
 from .diagram import Crossing, build_diagram, trace
 from .laurent import writhe_factor
 from .matrix import (ENTRIES, JONES_TABLE, KHOVANOV_TABLE, Column, det_value,
-                     enhance, kasteleyn_perm, signed_block_matrix, unsign)
+                     enhance, signed_block_matrix, unsign)
 
 
 class GrownState(namedtuple("GrownState", "matrix diagram")):
@@ -318,8 +320,8 @@ def state_matrix(state, signed, enhanced):
 
 
 def state_bracket(state):
-    """Kauffman bracket via the permanent; works for links too."""
-    return kasteleyn_perm(state.matrix, JONES_TABLE)
+    """Kauffman bracket of any state, knot or link (signed_bracket)."""
+    return signed_bracket(det_value(state.matrix, JONES_TABLE), state.n)
 
 
 def state_jones_raw(state, traced=None, det=None):
@@ -355,6 +357,25 @@ def normalized(raw):
     return -val if flipped else val
 
 
+def signed_bracket(det, n):
+    """The Kauffman bracket from +-det over Table 1 of an n-row state.
+
+    With c components and writhe w, <D>(A = 1) = (-1)^w (-2)^(c-1)
+    (Kauffman 1987, "State models and the Jones polynomial"), and
+    w = n (mod 2), so the value v at A = 1 must have the sign
+    (-1)^(n + log2|v|); det is negated when it has the other one.
+    """
+    v = det.at_one()
+    negative = (n + abs(v).bit_length() - 1) % 2 == 1    # log2|v| = c - 1
+    return -det if (v < 0) != negative else det
+
+
+def signed_poincare(det):
+    """The Poincare polynomial from +-det over Table 2: every coefficient
+    counts spanning trees, so a negative one means det is negated."""
+    return -det if sum(det.coeffs.values()) < 0 else det
+
+
 def state_jones_in_A(state):
     """Sign-normalized Jones polynomial (in A) of a knot state."""
     return normalized(state_jones_raw(state))
@@ -373,4 +394,4 @@ def state_khovanov_poincare(state):
     """
     if trace(state.diagram).components != 1:
         raise ValueError("Poincare polynomial route needs a knot")
-    return kasteleyn_perm(state.matrix, KHOVANOV_TABLE)
+    return signed_poincare(det_value(state.matrix, KHOVANOV_TABLE))

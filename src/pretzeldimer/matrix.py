@@ -11,13 +11,13 @@ Expanding the permanent turns each permutation term into a word; these are
 exactly the spanning-tree activity words, which is what makes the
 determinant/permanent route agree with the tree expansion.  Two optional
 decorations: Kasteleyn signs (det = +-perm afterwards) and per-row writhe
-weights (multiplying the evaluation by (-A^-3)^writhe).
+weights, which ``matrix --enhanced`` prints and no evaluation reads.
 
 The invariants never expand: det_value eliminates (fraction-free, exact
 over Z[A^+-1], unit pivots normalised, on raw {exponent: coefficient}
 dicts) over a letter table (JONES_TABLE in A, KHOVANOV_TABLE in (u, v),
-both defined here) and kasteleyn_perm reads the permanent off the signed
-determinant.  Elimination takes the columns sparsest first, whatever
+both defined here); extend fixes each invariant's global sign from its
+own value.  Elimination takes the columns sparsest first, whatever
 order they are stored in, and corrects the sign by that order's parity,
 so a column a move appends last costs what the same column of a pretzel
 costs.  It pivots on up-to-date rows and updates a stale row with one
@@ -37,8 +37,8 @@ integers.
 The row order matters: clean activity words come from the standard
 numbering.  A documented counterexample — reversing the labels of
 P(-2,3,3), i.e. ranks {1:8, 2:7, ..., 8:1} — makes the signed determinant
-stop being +- the Jones polynomial; build_graph_matrix takes a ranks
-mapping so that this can be demonstrated.
+times (-A^-3)^writhe stop being +- the Jones polynomial;
+build_graph_matrix takes a ranks mapping so that this can be demonstrated.
 """
 
 import json
@@ -47,7 +47,7 @@ from collections import namedtuple
 
 from .activities import split_token, token
 from .diagram import column_labels, trace
-from .laurent import Laurent, Laurent2, _div, _mul, writhe_factor
+from .laurent import Laurent, Laurent2, _div, _mul
 from .taitgraphs import BOT, bigon, kasteleyn_negatives, region_name, strip
 
 
@@ -237,6 +237,7 @@ def unsign(m):
 def enhance(m, diagram):
     """Attach per-row writhe weights from the diagram's traced orientation.
 
+    Display data for ``pretty`` and ``to_json``; no evaluation reads them.
     Only defined for knots; the per-crossing signs of a link depend on
     orientation choices.
     """
@@ -405,13 +406,6 @@ KHOVANOV_TABLE = {
 }
 
 
-def _ring(m, table):
-    ring = type(next(iter(table.values())))
-    if m.enhanced and ring is not Laurent:
-        raise ValueError("writhe weights only make sense for Laurent tables")
-    return ring
-
-
 def word_sum(words, table):
     """Sum over the words of the product of their letters' table values.
 
@@ -449,14 +443,10 @@ def word_sum(words, table):
 def perm_value(m, table):
     """Permanent by term expansion, evaluated over a letter table.
 
-    The independent slow route; kasteleyn_perm gives the same value by
-    elimination.
+    The independent slow route; on a Kasteleyn-signed matrix det_value
+    gives the same value up to one global sign.
     """
-    _ring(m, table)                   # refuses weights on two-variable tables
-    total = word_sum((t.word for t in expand(m)), table)
-    if m.enhanced:
-        total = total * writhe_factor(sum(m.row_weights.values()))
-    return total
+    return word_sum((t.word for t in expand(m)), table)
 
 
 #: the pivot of a normalised unit step, and the divisor before the first step
@@ -596,16 +586,14 @@ def det_value(m, table):
     order it works out from the matrix, sparsest first, and corrects the
     sign by that order's parity; the stored order, which ``pretty`` and
     ``to_json`` print, is left alone.  It pivots on up-to-date rows first
-    and updates a stale row with one exact division.  With writhe weights
-    (m.enhanced) it is multiplied by (-A^-3)^writhe.  Two-variable tables
+    and updates a stale row with one exact division.  Two-variable tables
     go through a Kronecker substitution.  A non-square matrix raises
     ValueError.
     """
     _require_square(m)
-    ring = _ring(m, table)
     coeffs = {tok: val.coeffs for tok, val in table.items()}
     decode = None
-    if ring is Laurent2:
+    if type(next(iter(table.values()))) is Laurent2:
         coeffs, decode = _kronecker(coeffs, m.n)
     rows = [{} for _ in range(m.n)]
     for (ri, ci), e in m.entries.items():
@@ -615,73 +603,7 @@ def det_value(m, table):
         else:
             rows[ri][ci] = dict(val)
     det = _eliminate(rows, m.n)
-    if decode is not None:
-        return decode(det)
-    total = Laurent(det)
-    if m.enhanced:
-        total = total * writhe_factor(sum(m.row_weights.values()))
-    return total
-
-
-def _perfect_matching(m):
-    """Column of each row in one perfect matching (augmenting paths), or None."""
-    adj = [[ci for ci, _ in cands] for cands in _row_candidates(m)]
-    owner = {}                    # column -> matched row
-    col_of = {}                   # row -> matched column
-    for root in range(m.n):
-        parent = {}               # column -> row it was reached from
-        frontier = [root]
-        free = None
-        while frontier and free is None:
-            nxt = []
-            for r in frontier:
-                for c in adj[r]:
-                    if c in parent:
-                        continue
-                    parent[c] = r
-                    if c not in owner:
-                        free = c
-                        break
-                    nxt.append(owner[c])
-                if free is not None:
-                    break
-            frontier = nxt
-        if free is None:
-            return None
-        c = free
-        while c is not None:      # flip the alternating path back to root
-            r = parent[c]
-            prev = col_of.get(r)  # None only at the root
-            owner[c] = r
-            col_of[r] = c
-            c = prev
-    return [col_of[r] for r in range(m.n)]
-
-
-def kasteleyn_sign(m):
-    """eps of a Kasteleyn-signed matrix: permanent = eps * det.
-
-    Kasteleyn (1963): every term of a Kasteleyn-signed determinant carries
-    the same sign eps = parity x product of entry signs, read here off one
-    perfect matching; 1 when there is none (then the determinant is 0).
-    """
-    if not m.signed:
-        raise ValueError("kasteleyn_perm needs a Kasteleyn-signed matrix")
-    _require_square(m)
-    cols = _perfect_matching(m)
-    if cols is None:
-        return 1
-    eps = _parity(cols)
-    for ri, ci in enumerate(cols):
-        eps *= m.entries[(ri, ci)].sign
-    return eps
-
-
-def kasteleyn_perm(m, table):
-    """Permanent of a Kasteleyn-signed matrix as eps * det."""
-    eps = kasteleyn_sign(m)
-    total = det_value(m, table)
-    return total if eps > 0 else -total
+    return Laurent(det) if decode is None else decode(det)
 
 
 # ---------------------------------------------------------------------------

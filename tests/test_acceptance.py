@@ -24,9 +24,9 @@ from pretzeldimer.evaluate import (JONES_TABLE, STENCILS,
                                    stencil_word_pairs)
 from pretzeldimer.extend import (initial_state, reidemeister1, reidemeister2,
                                  state_bracket, state_jones_in_A, subdivide)
-from pretzeldimer.laurent import Laurent, Laurent2
+from pretzeldimer.laurent import Laurent, Laurent2, writhe_factor
 from pretzeldimer.matrix import (build_block_matrix, build_graph_matrix,
-                                 det_value, enhance, expand, perm_value,
+                                 det_value, expand, perm_value,
                                  sign_matrix, word_multiset)
 from pretzeldimer.oracle import state_sum_bracket, tree_expansion_bracket
 from pretzeldimer.taitgraphs import (build_overlay, build_tait,
@@ -245,8 +245,8 @@ def test_criterion_11():
         ov = build_overlay((-2, 3, 3))
         ranks = {c: 9 - c for c in range(1, 9)}
         m = sign_matrix(build_graph_matrix(ov, ranks), solve_kasteleyn(ov))
-        m = enhance(m, build_diagram((-2, 3, 3)))
-        det = det_value(m, JONES_TABLE)
+        w = trace(build_diagram((-2, 3, 3))).writhe
+        det = det_value(m, JONES_TABLE) * writhe_factor(w)
         ref = jones_in_A((-2, 3, 3))
         assert det not in (ref, -ref)
         # pinned so the witness stays a concrete, reproducible polynomial

@@ -1,13 +1,16 @@
 """Elimination against expansion: the fast route checked by the slow one.
 
-det_value computes determinants by fraction-free elimination and
-kasteleyn_perm turns them into permanents through the global Kasteleyn
-sign; expand and perm_value enumerate every permutation term.  The two
-must agree exactly across the whole desk sweep, on grown states, on long
-move chains and columns of threes, whose columns elimination takes out of
-stored order, and on a matrix with duplicate words; the raw sign of two
-long chains is pinned, and columns of threes must eliminate with no
-polynomial division.  The elimination kernel is also held to a
+det_value computes determinants by fraction-free elimination; expand and
+perm_value enumerate every permutation term.  det_value must equal the
+signed term sum, and state_jones_raw that sum times (-A^-3)^writhe,
+exactly across the whole desk sweep, on grown states, on long move chains
+and columns of threes, whose columns elimination takes out of stored
+order, and on a matrix with duplicate words.  The bracket and the
+Poincare polynomial, whose signs extend reads off their own values, must
+equal perm_value, and the bracket's value at A = 1 must be the
+(-1)^(n+c-1) 2^(c-1) that the bracket's sign rule relies on.  The raw
+sign of two long chains is pinned, and columns of threes must eliminate
+with no polynomial division.  The elimination kernel is also held to a
 Leibniz sum on seeded matrices whose entries are not units, and the
 stencil pair counts, which are determinants of minors, to the word pairs
 the expansion lists.
@@ -24,16 +27,17 @@ from paper_tables import desk_sweep
 
 from pretzeldimer import matrix
 from pretzeldimer.cli import main
-from pretzeldimer.diagram import build_diagram, trace
+from pretzeldimer.diagram import trace
 from pretzeldimer.evaluate import (JONES_TABLE, KHOVANOV_TABLE,
                                    pipeline_matrix, scan_differentials,
                                    stencil_pair_counts, stencil_word_pairs)
-from pretzeldimer.extend import MOVES, apply_moves, initial_state
-from pretzeldimer.laurent import Laurent, Laurent2
+from pretzeldimer.extend import (MOVES, apply_moves, initial_state,
+                                 state_bracket, state_jones_raw,
+                                 state_khovanov_poincare)
+from pretzeldimer.laurent import Laurent, Laurent2, writhe_factor
 from pretzeldimer.matrix import (ActivityMatrix, Column, Entry,
-                                 build_graph_matrix, det_value, enhance,
-                                 expand, kasteleyn_perm, perm_value,
-                                 sign_matrix)
+                                 build_graph_matrix, det_value, expand,
+                                 perm_value, sign_matrix)
 from pretzeldimer.taitgraphs import BOT
 from pretzeldimer.taitgraphs import build_overlay, solve_kasteleyn
 
@@ -60,16 +64,30 @@ def signed_term_sum(m, table, check_duplicates=True):
     return Laurent(total)
 
 
-def kink(m):
-    return Laurent.term(-1, -3) ** sum(m.row_weights.values())
+def check_exact(st):
+    """det_value, sign included, against the signed term sum, and for a
+    knot state_jones_raw against the sum times (-A^-3)^writhe; returns the
+    state's trace."""
+    m = st.matrix
+    want = signed_term_sum(m, JONES_TABLE)
+    assert det_value(m, JONES_TABLE) == want
+    t = trace(st.diagram)
+    if t.components == 1:
+        assert state_jones_raw(st, t)[0] == want * writhe_factor(t.writhe)
+    return t
 
 
-def check_state(m, knot):
-    assert det_value(m, JONES_TABLE) == signed_term_sum(m, JONES_TABLE)
-    assert kasteleyn_perm(m, JONES_TABLE) == perm_value(m, JONES_TABLE)
-    if knot:
-        assert kasteleyn_perm(m, KHOVANOV_TABLE) == \
-            perm_value(m, KHOVANOV_TABLE)
+def check_state(st):
+    """check_exact, then the bracket and a knot's Poincare polynomial
+    against perm_value, the slow reference, and the bracket's value at
+    A = 1, whose sign and size signed_bracket relies on."""
+    c = check_exact(st).components
+    m = st.matrix
+    bracket = perm_value(m, JONES_TABLE)
+    assert state_bracket(st) == bracket
+    assert bracket.at_one() == (-1) ** (m.n + c - 1) * 2 ** (c - 1)
+    if c == 1:
+        assert state_khovanov_poincare(st) == perm_value(m, KHOVANOV_TABLE)
 
 
 def test_elimination_matches_expansion_on_desk_sweep():
@@ -77,8 +95,7 @@ def test_elimination_matches_expansion_on_desk_sweep():
     specs = desk_sweep()
     assert len(specs) == 4112
     for spec in specs:
-        knot = trace(build_diagram(spec)).components == 1
-        check_state(pipeline_matrix(spec, enhanced=False), knot)
+        check_state(initial_state(spec))
     assert time.perf_counter() - t0 < BUDGET_S
 
 
@@ -95,12 +112,7 @@ def test_elimination_matches_expansion_on_move_chains():
             st = apply_moves(initial_state(spec), chain)
         except ValueError:            # edge extension after a kink
             continue
-        knot = trace(st.diagram).components == 1
-        check_state(st.matrix, knot)
-        if knot:
-            m = enhance(st.matrix, st.diagram)
-            assert det_value(m, JONES_TABLE) == \
-                signed_term_sum(m, JONES_TABLE) * kink(m), (spec, chain)
+        check_state(st)
         checked += 1
     assert time.perf_counter() - t0 < BUDGET_S
 
@@ -111,25 +123,14 @@ def test_elimination_matches_expansion_with_duplicate_words():
     ov = build_overlay((-2, 3, 3))
     ranks = {c: 9 - c for c in range(1, 9)}
     m = sign_matrix(build_graph_matrix(ov, ranks), solve_kasteleyn(ov))
-    m = enhance(m, build_diagram((-2, 3, 3)))
     expected = signed_term_sum(m, JONES_TABLE, check_duplicates=False)
-    assert det_value(m, JONES_TABLE) == expected * kink(m)
+    assert det_value(m, JONES_TABLE) == expected
 
 
 # ---------------------------------------------------------------------------
 # the column order on long chains and many columns: det_value takes the
 # sparsest columns first, so a grown state's columns, stored last, go
 # first, and an odd order negates the result
-
-def check_exact(st):
-    """det_value, sign included, against the signed term sum, and against
-    the sum times the kink factor on the writhe-weighted matrix of a knot."""
-    m = st.matrix
-    want = signed_term_sum(m, JONES_TABLE)
-    assert det_value(m, JONES_TABLE) == want
-    if trace(st.diagram).components == 1:
-        weighted = enhance(m, st.diagram)
-        assert det_value(weighted, JONES_TABLE) == want * kink(weighted)
 
 
 @pytest.mark.parametrize("moves", [8, 16, 33, 64])
@@ -332,8 +333,6 @@ def test_det_value_refuses_non_square_matrix(shape):
         signed=True)
     with pytest.raises(ValueError, match="square"):
         det_value(m, JONES_TABLE)
-    with pytest.raises(ValueError, match="square"):
-        kasteleyn_perm(m, JONES_TABLE)
 
 
 # ---------------------------------------------------------------------------

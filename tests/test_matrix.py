@@ -22,7 +22,6 @@ from pretzeldimer.matrix import (
     dump_json,
     enhance,
     expand,
-    kasteleyn_perm,
     perm_value,
     pretty,
     sign_matrix,
@@ -224,14 +223,8 @@ def test_det_and_perm_toy_evaluation():
     assert det == Laurent.term(3, 3) or det == Laurent.term(-3, 3)
 
 
-def test_kasteleyn_perm_needs_signed_matrix():
-    m = build_block_matrix((1, 1, 1))
-    with pytest.raises(ValueError, match="Kasteleyn"):
-        kasteleyn_perm(m, {tok: Laurent.term(1, 1) for tok in "LDld"})
-
-
 def test_singular_matrix_has_zero_det_and_perm():
-    # the second column is empty: no perfect matching, no terms
+    # the second column is empty: no terms
     m = ActivityMatrix(
         rows=[1, 2],
         columns=[Column("internal", BOT), Column("external", strip(1))],
@@ -240,7 +233,7 @@ def test_singular_matrix_has_zero_det_and_perm():
     )
     table = {tok: Laurent.term(1, 1) for tok in "LDld"}
     assert det_value(m, table) == Laurent.zero()
-    assert kasteleyn_perm(m, table) == perm_value(m, table) == Laurent.zero()
+    assert perm_value(m, table) == Laurent.zero()
 
 
 # ---------------------------------------------------------------------------

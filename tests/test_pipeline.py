@@ -4,11 +4,14 @@
   perfbench/tracer.py's buckets and those perfbench/make_golden.py
   imports) still resolves.
 * One command builds one state: a call counter around the constructors
-  pins how often ``verify`` and ``jones`` build the diagram, the overlay,
-  the Kasteleyn signs and the matrix, how often they trace the diagram,
-  and how often they eliminate.  The state itself builds no overlay: one
-  walk gives the letters and the faces, and one face solve the signs.
+  pins how often ``verify``, ``jones`` and ``khovanov`` build the diagram,
+  the overlay, the Kasteleyn signs and the matrix, how often they trace
+  the diagram, and how often they eliminate.  The state itself builds no
+  overlay: one walk gives the letters and the faces, and one face solve
+  the signs.
 * ``verify`` checks the Kasteleyn signs of the matrix it evaluates.
+* The writhe factor has one production site, the Jones route of a state,
+  besides the spanning-tree oracle's own.
 """
 import ast
 import contextlib
@@ -27,7 +30,8 @@ from pretzeldimer.cli import main
 from pretzeldimer.matrix import Entry
 from pretzeldimer.taitgraphs import build_overlay
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _tracer_buckets():
@@ -61,7 +65,7 @@ def test_benchmark_names_resolve():
 COUNTED = {
     "diagram": ("build_diagram", "trace"),
     "taitgraphs": ("build_overlay", "solve_kasteleyn", "kasteleyn_negatives"),
-    "matrix": ("signed_block_matrix", "det_value", "kasteleyn_sign"),
+    "matrix": ("signed_block_matrix", "det_value"),
 }
 
 
@@ -141,12 +145,28 @@ def test_verify_json_on_a_link_eliminates_once(monkeypatch):
     assert counts["det_value"] == 1
 
 
-def test_verify_on_a_knot_finds_one_matching(monkeypatch):
-    # the bracket and the Poincare polynomial share one Kasteleyn sign
+def test_verify_on_a_knot_eliminates_twice_and_traces_once(monkeypatch):
+    # each invariant's sign comes from its own value: no matching search
     code, counts = count_calls(monkeypatch, ["verify", "P(-2,3,7)"])
     assert code == 0
-    assert counts["kasteleyn_sign"] == 1
     assert counts["det_value"] == 2           # Table 1 and Table 2
+    assert counts["trace"] == 1
+
+
+def test_bracket_of_a_link_eliminates_once_and_never_traces(monkeypatch):
+    code, counts = count_calls(monkeypatch, ["jones", "--bracket", "P(2,2)"])
+    assert code == 0
+    assert counts["det_value"] == 1
+    assert counts["trace"] == 0
+
+
+def test_khovanov_json_eliminates_once_and_traces_once(monkeypatch):
+    # the text form also counts each stencil's pairs by a minor's det
+    code, counts = count_calls(monkeypatch,
+                               ["khovanov", "--json", "P(-2,3,7)"])
+    assert code == 0
+    assert counts["det_value"] == 1           # Table 2
+    assert counts["trace"] == 1               # the knot check
 
 
 def test_jones_traces_once(monkeypatch):
@@ -170,3 +190,28 @@ def test_commands_build_one_diagram(monkeypatch, argv):
     assert counts["build_overlay"] == 0
     assert counts["solve_kasteleyn"] == 0
     assert counts["kasteleyn_negatives"] == 1
+
+
+def _callers(name):
+    """(module, innermost enclosing function) of each call to name in src/."""
+    found = set()
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", getattr(f, "attr", None)) == name:
+                    found.add((module, owner))
+            visit(child, module, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    for path in sorted((ROOT / "src" / "pretzeldimer").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_one_site_applies_the_writhe_factor():
+    # evaluations and verify's checks compare brackets; only the Jones
+    # route of a state and the tree oracle's Jones form apply the kink
+    assert _callers("writhe_factor") == {("extend", "state_jones_raw"),
+                                         ("oracle", "tree_expansion_jones")}
