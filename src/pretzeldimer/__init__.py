@@ -1,10 +1,11 @@
 """Exact Jones and Khovanov-type invariants of pretzel links.
 
-The pipeline: build the standard pretzel diagram P(n1, ..., nk), read off
-its checkerboard (Tait) graph and the balanced overlaid graph, enumerate
-spanning trees / perfect matchings, assemble the activity matrix, and
-evaluate its determinant or permanent over a Laurent ring.  Independent
-skein-theoretic oracles cross-check every step.
+The pipeline: one walk over the crossing labels of P(n1, ..., nk) gives
+the activity letters and the faces of the balanced overlay, the faces fix
+the Kasteleyn signs of that matrix, and exact elimination over a Laurent
+ring gives its determinant; each invariant reads its global sign off its
+own value.  The enumerations (spanning trees, permanent terms, the 2^n
+state sum) are ``verify``'s slow routes and cross-check every step.
 """
 
 from .evaluate import bracket, jones, jones_in_A, khovanov_poincare

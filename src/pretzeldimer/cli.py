@@ -209,7 +209,7 @@ def cmd_khovanov(spec, args):
             "spec": list(spec),
             "poincare": pairs,
             "generators": total,
-            "differentials": [r.to_json(names=True) for r in reports],
+            "differentials": [r.to_json() for r in reports],
         }
         print(json.dumps(blob, indent=2, sort_keys=True))
         return 0
@@ -222,7 +222,7 @@ def cmd_khovanov(spec, args):
     if not reports:
         print("no differential stencils found")
     for r, npairs in zip(reports, stencil_pair_counts(m, reports)):
-        blob = r.to_json(names=True)
+        blob = r.to_json()
         print("differential: rows (%d, %d)  columns (%s, %s)  stencil %s  "
               "(%d word pair%s)"
               % (blob["rows"][0], blob["rows"][1], blob["cols"][0],

@@ -14,7 +14,6 @@ Arcs are stored as an involution on ports.  Everything else — orientation,
 writhe, component count, the skein state sum — is derived from this wiring.
 """
 
-import json
 import re
 from collections import namedtuple
 
@@ -50,17 +49,15 @@ class Crossing:
 
 class Diagram:
     """Crossings (label -> Crossing) wired by arcs, a port -> port
-    involution with port = (label, corner).  columns lists the labels top
-    to bottom per column for standard builds, else None.  outer_top_arc is
-    the unique arc separating the upper deck from the unbounded region;
-    surgery operations keep it up to date so kinks know where to attach.
+    involution with port = (label, corner).  outer_top_arc is the unique
+    arc separating the upper deck from the unbounded region; surgery
+    operations keep it up to date so kinks know where to attach.
     """
-    __slots__ = ("crossings", "arcs", "columns", "outer_top_arc")
+    __slots__ = ("crossings", "arcs", "outer_top_arc")
 
-    def __init__(self, crossings, arcs, columns, outer_top_arc=None):
+    def __init__(self, crossings, arcs, outer_top_arc=None):
         self.crossings = crossings
         self.arcs = arcs
-        self.columns = columns
         self.outer_top_arc = outer_top_arc
 
     def __eq__(self, other):
@@ -90,30 +87,8 @@ class Diagram:
             crossings={l: Crossing(c.label, c.over, c.sign)
                        for l, c in self.crossings.items()},
             arcs=dict(self.arcs),
-            columns=[list(col) for col in self.columns] if self.columns else None,
             outer_top_arc=self.outer_top_arc,
         )
-
-    def to_json(self):
-        return {
-            "crossings": [
-                {"label": c.label, "over": c.over, "sign": c.sign}
-                for _, c in sorted(self.crossings.items())
-            ],
-            "arcs": [[list(p), list(q)] for p, q in sorted(self.arc_list())],
-        }
-
-    def to_dot(self):
-        lines = ["graph projection {"]
-        for label in sorted(self.crossings):
-            c = self.crossings[label]
-            over = c.over if c.over == "/" else "\\\\"
-            lines.append('  c%d [label="%d %s"];' % (label, label, over))
-        for p, q in sorted(self.arc_list()):
-            lines.append('  c%d -- c%d [label="%s-%s"];'
-                         % (p[0], q[0], p[1], q[1]))
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def parse_spec(text):
@@ -159,22 +134,21 @@ def column_labels(sizes):
     return columns
 
 
-def build_from_sign_columns(sign_columns):
-    """Build a diagram from explicit per-crossing signs.
-
-    sign_columns[i] lists the crossing signs of column i+1 from top to
-    bottom.  This generality is needed when surgeries grow a column by a
-    crossing of the opposite sign.
-    """
-    if not sign_columns or any(not col for col in sign_columns):
-        raise ValueError("every column needs at least one crossing")
-    k = len(sign_columns)
-    columns = column_labels(map(len, sign_columns))
+def build_diagram(spec):
+    """Standard diagram of P(n1, ..., nk)."""
+    spec = tuple(spec)
+    if not spec:
+        raise ValueError("empty pretzel spec")
+    for v in spec:
+        if not isinstance(v, int) or v == 0:
+            raise ValueError("pretzel entries must be nonzero integers")
+    columns = column_labels(map(abs, spec))
 
     crossings = {}
-    for col, signs in zip(columns, sign_columns):
-        for label, s in zip(col, signs):
-            crossings[label] = Crossing(label, "/" if s > 0 else "\\", s)
+    for col, v in zip(columns, spec):
+        over, s = ("/", 1) if v > 0 else ("\\", -1)
+        for label in col:
+            crossings[label] = Crossing(label, over, s)
 
     arcs = {}
 
@@ -188,25 +162,14 @@ def build_from_sign_columns(sign_columns):
             join((a, "SE"), (b, "NE"))
     tops = [col[0] for col in columns]
     bots = [col[-1] for col in columns]
-    for i in range(k - 1):
+    for i in range(len(columns) - 1):
         join((tops[i], "NE"), (tops[i + 1], "NW"))
         join((bots[i], "SE"), (bots[i + 1], "SW"))
     outer_top = ((tops[0], "NW"), (tops[-1], "NE"))
     join(*outer_top)
     join((bots[0], "SW"), (bots[-1], "SE"))
 
-    return Diagram(crossings=crossings, arcs=arcs, columns=columns,
-                   outer_top_arc=outer_top)
-
-
-def build_diagram(spec):
-    """Standard diagram of P(n1, ..., nk)."""
-    spec = tuple(spec)
-    for v in spec:
-        if not isinstance(v, int) or v == 0:
-            raise ValueError("pretzel entries must be nonzero integers")
-    return build_from_sign_columns(
-        [[1 if v > 0 else -1] * abs(v) for v in spec])
+    return Diagram(crossings=crossings, arcs=arcs, outer_top_arc=outer_top)
 
 
 class Trace(namedtuple("Trace", "components signs writhe")):
@@ -263,29 +226,3 @@ def trace(diagram, seed=None):
 
     return Trace(components=components, signs=signs,
                  writhe=sum(signs.values()))
-
-
-def components(diagram):
-    return trace(diagram).components
-
-
-def is_knot(diagram):
-    return trace(diagram).components == 1
-
-
-def writhe(diagram):
-    """Writhe of the diagram; defined only for knots.
-
-    For a multi-component link the writhe depends on the orientation chosen
-    for each component, so we refuse rather than silently pick one.
-    """
-    t = trace(diagram)
-    if t.components != 1:
-        raise ValueError(
-            "writhe is orientation-dependent for a %d-component link"
-            % t.components)
-    return t.writhe
-
-
-def dump_json(diagram):
-    return json.dumps(diagram.to_json(), indent=2, sort_keys=True)

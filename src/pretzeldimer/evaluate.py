@@ -84,11 +84,10 @@ class StencilReport(namedtuple("StencilReport", "rows cols stencil")):
     name."""
     __slots__ = ()
 
-    def to_json(self, names=True):
+    def to_json(self):
         return {
             "rows": list(self.rows),
-            "cols": [region_name(r) for r in self.cols] if names
-            else [list(r) for r in self.cols],
+            "cols": [region_name(r) for r in self.cols],
             "stencil": self.stencil,
         }
 

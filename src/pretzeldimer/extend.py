@@ -34,10 +34,14 @@ entry +1, new dead entry in the new column -1, copied column entries keep
 the sign already there); tests check the face parities and the
 determinant/permanent sign split survive every move.
 
-``subdivide`` and ``double`` need the last matrix row to look like a twist
-top: exactly one D in an internal column plus one d in an external column.
-A one-column pretzel or a freshly added kink does not qualify and is
-rejected before any surgery happens.
+``subdivide`` and ``double`` are one splice (``_splice``).  A series
+extension of the Tait graph is a parallel extension of its dual, so the
+parallel splice is the series one turned a quarter turn, with the dual
+letters (L <-> l, D <-> d) and an external column for the internal one.
+Both need the last matrix row to look like a twist top: exactly one D in
+an internal column plus one d in an external column.  A one-column pretzel
+or a freshly added kink does not qualify and is rejected before any
+surgery happens.
 """
 import functools
 from collections import namedtuple
@@ -71,8 +75,9 @@ def initial_state(spec):
 # ---------------------------------------------------------------------------
 # preconditions and shared plumbing
 
-def _twist_top_shape(m):
-    """Column indices (internal D, external d) of the last row, or raise.
+def _twist_top(m):
+    """Columns of the last row's letters, {"D": internal, "d": external},
+    or raise.
 
     This is the shape every twist-column top has, and the shape the two
     edge extensions preserve; kinks and one-column pretzels break it.
@@ -85,7 +90,8 @@ def _twist_top_shape(m):
             letter, _ = split_token(e.tok)
             byletter[(letter, m.columns[ci].kind)] = ci
         if ("D", "internal") in byletter and ("d", "external") in byletter:
-            return byletter[("D", "internal")], byletter[("d", "external")]
+            return {"D": byletter[("D", "internal")],
+                    "d": byletter[("d", "external")]}
     raise ValueError(
         "edge extension needs the last row to be a twist top "
         "(one D in an internal column, one d in an external column); "
@@ -122,85 +128,64 @@ def _entry(m, letter, barred, ksign):
 # ---------------------------------------------------------------------------
 # edge extensions
 
-def _subdivide(state, sign=None):
-    """One more crossing on top of the last twist column (series growth).
+#: how -> (ports, kind of the new column, letters).  The new crossing
+#: takes over the old top's first two ports and wires its own last two back
+#: to them.  The letters are the old row's entry in the new column, the new
+#: row's entry there, and the new row's entry in the twist top's column of
+#: that same letter, whose Kasteleyn sign it copies.  ``parallel`` is
+#: ``series`` turned a quarter turn, with the dual letters.
+_SPLICES = {
+    "series": (("NW", "NE", "SW", "SE"), "internal", ("L", "D", "d")),
+    "parallel": (("NE", "SE", "NW", "SW"), "external", ("l", "d", "D")),
+}
 
-    With the default sign this turns P(..., nk) into P(..., nk +/- 1)
-    (same sign as the column); an explicit opposite sign grows a mixed
-    column, which is what a series Reidemeister 2 needs.
+
+def _splice(state, how, sign=None):
+    """One more crossing on the last twist column's top edge.
+
+    ``series`` puts it on top of the column: with the default sign this
+    turns P(..., nk) into P(..., nk +/- 1), and an explicit opposite sign
+    grows a mixed column, which is what a series Reidemeister 2 needs.
+    ``parallel`` puts it east of the top: on a one-crossing last column
+    this is appending a column, P(..., s) -> P(..., s, sign).
     """
-    m = state.diagram
-    _, s_ci = _twist_top_shape(state.matrix)
+    (p, q, p2, q2), kind, (old_letter, new_letter, kept) = _SPLICES[how]
+    ci = _twist_top(state.matrix)[kept]
     if sign is None:
         sign = _last_sign(state)
     old = state.matrix.rows[-1]
-    ri_old = state.matrix.n - 1
     label = _new_crossing(state, sign, "/" if sign > 0 else "\\")
 
-    # splice the new crossing between the old top and its north arcs
-    a = m.arcs[(old, "NW")]
-    b = m.arcs[(old, "NE")]
-    _join(m.arcs, a, (label, "NW"))
-    _join(m.arcs, (label, "SW"), (old, "NW"))
-    _join(m.arcs, b, (label, "NE"))
-    _join(m.arcs, (label, "SE"), (old, "NE"))
-    _remap_outer(m, {(old, "NW"): (label, "NW"), (old, "NE"): (label, "NE")})
-    if m.columns is not None:
-        if m.columns[-1][0] != old:
-            raise AssertionError("column bookkeeping out of step")
-        m.columns[-1].insert(0, label)
+    d = state.diagram
+    a, b = d.arcs[(old, p)], d.arcs[(old, q)]
+    _join(d.arcs, a, (label, p))
+    _join(d.arcs, (label, p2), (old, p))
+    _join(d.arcs, b, (label, q))
+    _join(d.arcs, (label, q2), (old, q))
+    _remap_outer(d, {(old, p): (label, p), (old, q): (label, q)})
 
-    # new internal column (the bigon the splice created), new bottom row;
-    # bars follow rows, so the old row's new entry marks the old edge's sign
+    # the region the splice opened is the new column, the new crossing the
+    # new bottom row; bars follow rows, so the old row's new entry marks
+    # the old edge's sign
     am = state.matrix
+    ri = am.n - 1
     am.rows.append(label)
     nc = len(am.columns)
-    am.columns.append(Column("internal", ("grown", label)))
-    ri_new = am.n - 1
-    am.entries[(ri_old, nc)] = _entry(am, "L", m.crossings[old].sign < 0, 1)
-    am.entries[(ri_new, nc)] = _entry(am, "D", sign < 0, -1)
-    am.entries[(ri_new, s_ci)] = _entry(am, "d", sign < 0,
-                                        am.entries[(ri_old, s_ci)].sign)
+    am.columns.append(Column(kind, ("grown", label)))
+    am.entries[(ri, nc)] = _entry(am, old_letter, d.crossings[old].sign < 0, 1)
+    am.entries[(ri + 1, nc)] = _entry(am, new_letter, sign < 0, -1)
+    am.entries[(ri + 1, ci)] = _entry(am, kept, sign < 0,
+                                      am.entries[(ri, ci)].sign)
+
+
+def _subdivide(state, sign=None):
+    """Series growth: one more crossing on top of the last twist column."""
+    _splice(state, "series", sign)
 
 
 def _double(state, sign=None):
-    """A parallel crossing east of the last column's top (parallel growth).
-
-    When the last column has a single crossing this is exactly appending a
-    one-crossing column: P(..., s) -> P(..., s, sign).
-    """
-    m = state.diagram
-    x_ci, s_ci = _twist_top_shape(state.matrix)
-    if sign is None:
-        sign = _last_sign(state)
-    old = state.matrix.rows[-1]
-    ri_old = state.matrix.n - 1
-    label = _new_crossing(state, sign, "/" if sign > 0 else "\\")
-
-    # splice east of the old top: its NE/SE arcs now pass through the twin
-    a = m.arcs[(old, "NE")]
-    b = m.arcs[(old, "SE")]
-    _join(m.arcs, (old, "NE"), (label, "NW"))
-    _join(m.arcs, (old, "SE"), (label, "SW"))
-    _join(m.arcs, (label, "NE"), a)
-    _join(m.arcs, (label, "SE"), b)
-    _remap_outer(m, {(old, "NE"): (label, "NE")})
-    if m.columns is not None and len(m.columns[-1]) == 1:
-        m.columns.append([label])
-    else:
-        m.columns = None
-
-    # new external column (the white gap between the twins), new bottom row;
-    # as in subdivide, the old row's new entry keeps the old edge's bar
-    am = state.matrix
-    am.rows.append(label)
-    nc = len(am.columns)
-    am.columns.append(Column("external", ("grown", label)))
-    ri_new = am.n - 1
-    am.entries[(ri_old, nc)] = _entry(am, "l", m.crossings[old].sign < 0, 1)
-    am.entries[(ri_new, nc)] = _entry(am, "d", sign < 0, -1)
-    am.entries[(ri_new, x_ci)] = _entry(am, "D", sign < 0,
-                                        am.entries[(ri_old, x_ci)].sign)
+    """Parallel growth: one more crossing east of the last column's top."""
+    _splice(state, "parallel", sign)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +223,6 @@ def _reidemeister1(state, kind, sign=1):
         _join(m.arcs, (label, "NE"), a2)
         m.outer_top_arc = (a1, (label, "NW"))
         colkind, letter = "external", "l"
-    m.columns = None
 
     am = state.matrix
     am.rows.append(label)
@@ -253,12 +237,11 @@ def _reidemeister2(state, placement):
     The first new crossing copies the last edge's sign, the second takes
     the opposite, so the pair always cancels.
     """
-    if placement not in ("series", "parallel"):
+    if placement not in _SPLICES:
         raise ValueError("placement must be 'series' or 'parallel'")
-    op = _subdivide if placement == "series" else _double
     s = _last_sign(state)
-    op(state, s)
-    op(state, -s)
+    _splice(state, placement, s)
+    _splice(state, placement, -s)
 
 
 def _on_a_copy(surgery):

@@ -4,13 +4,9 @@ from pretzeldimer.diagram import (
     CORNERS,
     Crossing,
     build_diagram,
-    build_from_sign_columns,
-    components,
-    dump_json,
-    is_knot,
+    column_labels,
     parse_spec,
     trace,
-    writhe,
 )
 
 
@@ -32,7 +28,7 @@ def test_build_rejects_zero():
     with pytest.raises(ValueError):
         build_diagram((1, 0, 2))
     with pytest.raises(ValueError):
-        build_from_sign_columns([])
+        build_diagram(())
 
 
 def test_trefoil_structure():
@@ -48,9 +44,9 @@ def test_trefoil_structure():
 
 
 def test_column_labelling():
-    d = build_diagram((-2, 3, 3))
     # column 1 top-down, later columns bottom-up
-    assert d.columns == [[1, 2], [5, 4, 3], [8, 7, 6]]
+    assert column_labels((2, 3, 3)) == [[1, 2], [5, 4, 3], [8, 7, 6]]
+    d = build_diagram((-2, 3, 3))
     assert d.crossings[1].over == "\\"
     assert d.crossings[2].sign == -1
     for label in range(3, 9):
@@ -59,12 +55,12 @@ def test_column_labelling():
 
 
 def test_writhe_frozen_values():
-    assert writhe(build_diagram((1, 1, 1))) == -3
-    assert writhe(build_diagram((-2, 3, 3))) == 8
-    assert writhe(build_diagram((-2, 3, 7))) == 12
-    assert writhe(build_diagram((1,))) == -1
-    assert writhe(build_diagram((-1,))) == 1
-    assert writhe(build_diagram((2,))) == -2
+    assert trace(build_diagram((1, 1, 1))).writhe == -3
+    assert trace(build_diagram((-2, 3, 3))).writhe == 8
+    assert trace(build_diagram((-2, 3, 7))).writhe == 12
+    assert trace(build_diagram((1,))).writhe == -1
+    assert trace(build_diagram((-1,))).writhe == 1
+    assert trace(build_diagram((2,))).writhe == -2
 
 
 def test_trefoil_all_crossings_negative():
@@ -79,17 +75,11 @@ def test_torus_knot_all_crossings_positive():
 
 
 def test_component_counts():
-    assert components(build_diagram((1, 1, 1))) == 1
-    assert components(build_diagram((2, 2))) == 2
-    assert components(build_diagram((2,))) == 1
-    assert components(build_diagram((2, 2, 2))) == 3
-    assert is_knot(build_diagram((-2, 3, 7)))
-    assert not is_knot(build_diagram((2, 2)))
-
-
-def test_writhe_refuses_links():
-    with pytest.raises(ValueError):
-        writhe(build_diagram((2, 2)))
+    assert trace(build_diagram((1, 1, 1))).components == 1
+    assert trace(build_diagram((2, 2))).components == 2
+    assert trace(build_diagram((2,))).components == 1
+    assert trace(build_diagram((2, 2, 2))).components == 3
+    assert trace(build_diagram((-2, 3, 7))).components == 1
 
 
 @pytest.mark.parametrize("spec", [(1, 1, 1), (-2, 3, 3), (3, -2)])
@@ -113,15 +103,6 @@ def test_copy_is_independent():
 def test_crossing_refuses_bad_over_or_sign(over, sign):
     with pytest.raises(ValueError):
         Crossing(1, over, sign)
-
-
-def test_json_and_dot():
-    d = build_diagram((1, 1))
-    blob = d.to_json()
-    assert len(blob["crossings"]) == 2
-    assert len(blob["arcs"]) == 4
-    assert "c1 -- c2" in d.to_dot()
-    assert dump_json(d).startswith("{")
 
 
 def test_outer_top_arc_flanks_the_deck():

@@ -6,7 +6,7 @@ import pytest
 from paper_tables import desk_sweep, gradings
 
 from pretzeldimer.activities import activity_word, spanning_trees
-from pretzeldimer.diagram import build_diagram, trace, writhe
+from pretzeldimer.diagram import build_diagram, trace
 from pretzeldimer.evaluate import (
     JONES_TABLE,
     KHOVANOV_TABLE,
@@ -102,7 +102,7 @@ def test_jones_torus_819():
 
 def test_jones_pretzel_237():
     # writhe 12, so the A-form sits 24 powers below the bracket's mirror image
-    assert writhe(build_diagram((-2, 3, 7))) == 12
+    assert trace(build_diagram((-2, 3, 7))).writhe == 12
     assert jones_in_A((-2, 3, 7)) == L(
         [[-52, -1], [-48, 1], [-44, -1], [-28, 1], [-20, 1]])
     got = jones((-2, 3, 7))
@@ -163,7 +163,7 @@ def test_tree_expansion_is_exact_bracket():
 def test_tree_expansion_jones_matches_pipeline():
     for spec in [(1, 1, 1), (-2, 3, 3), (-2, 3, 7), (1, 1, 3), (-3, 2, 1)]:
         g = build_tait(spec)
-        w = writhe(build_diagram(spec))
+        w = trace(build_diagram(spec)).writhe
         assert tree_expansion_jones(g, w) == jones(spec)
 
 

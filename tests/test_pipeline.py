@@ -12,6 +12,8 @@
 * ``verify`` checks the Kasteleyn signs of the matrix it evaluates.
 * The writhe factor has one production site, the Jones route of a state,
   besides the spanning-tree oracle's own.
+* Every top-level function and class in src/ has a reader: src/ itself,
+  the package exports, the benchmark harness, or a named reference.
 """
 import ast
 import contextlib
@@ -215,3 +217,40 @@ def test_one_site_applies_the_writhe_factor():
     # route of a state and the tree oracle's Jones form apply the kink
     assert _callers("writhe_factor") == {("extend", "state_jones_raw"),
                                          ("oracle", "tree_expansion_jones")}
+
+
+#: top-level names kept for the tests alone, each with its reason
+REFERENCE = {
+    "activity_word": "one tree's word, the reference tree_words' shared "
+                     "setup is checked against",
+    "matching_to_tree": "the matching -> tree bijection the activity "
+                        "matrix rests on, checked on every perfect matching",
+}
+
+
+def test_every_top_level_definition_has_a_reader():
+    """Matches by name: a reference is an ast Name, Attribute or import
+    alias anywhere in src/, so a method or local of the same name counts,
+    and a definition only ever read by tests must be in REFERENCE."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (ROOT / "src" / "pretzeldimer").glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    read |= set(importlib.import_module("pretzeldimer").__all__)
+    read |= {name for funcs in _tracer_buckets().values()
+             for _, name in funcs}
+    read |= {name for _, name in _golden_imports()}
+    unread = sorted(
+        "%s.%s" % (module, node.name)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name not in read and node.name not in REFERENCE)
+    assert not unread, unread
