@@ -4,8 +4,9 @@ The pipeline: one walk over the crossing labels of P(n1, ..., nk) gives
 the activity letters and the faces of the balanced overlay, the faces fix
 the Kasteleyn signs of that matrix, and exact elimination over a Laurent
 ring gives its determinant; each invariant reads its global sign off its
-own value.  The enumerations (spanning trees, permanent terms, the 2^n
-state sum) are ``verify``'s slow routes and cross-check every step.
+own value.  The slow routes (the spanning-tree and permanent-term
+enumerations, and the state sum's crossing-by-crossing frontier scan)
+are ``verify``'s and cross-check every step.
 """
 
 from .evaluate import bracket, jones, jones_in_A, khovanov_poincare

@@ -11,7 +11,9 @@ Four subcommands tie the pipeline together:
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or parse
 error (including a spec of more than diagram.MAX_CROSSINGS crossings), 3
-domain refusal (a link where a knot is required).
+domain refusal (a link where a knot is required), 141 standard output
+closed by its reader, as by ``| head`` (128 + SIGPIPE, what a shell
+reports for a tool cut off that way).
 
 ``--extend`` grows the object before evaluation and may be repeated; moves
 apply left to right.
@@ -20,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -312,7 +315,14 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return args.func(spec, args)
+    try:
+        code = args.func(spec, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull when Python exits
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -121,8 +121,8 @@ def _new_crossing(state, sign, over):
     return label
 
 
-def _entry(m, letter, barred, ksign):
-    return ENTRIES[token(letter, barred), ksign if m.signed else 1]
+def _entry(letter, barred, ksign):
+    return ENTRIES[token(letter, barred), ksign]
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +172,10 @@ def _splice(state, how, sign=None):
     am.rows.append(label)
     nc = len(am.columns)
     am.columns.append(Column(kind, ("grown", label)))
-    am.entries[(ri, nc)] = _entry(am, old_letter, d.crossings[old].sign < 0, 1)
-    am.entries[(ri + 1, nc)] = _entry(am, new_letter, sign < 0, -1)
-    am.entries[(ri + 1, ci)] = _entry(am, kept, sign < 0,
-                                      am.entries[(ri, ci)].sign)
+    am.entries[(ri, nc)] = _entry(old_letter, d.crossings[old].sign < 0, 1)
+    am.entries[(ri + 1, nc)] = _entry(new_letter, sign < 0, -1)
+    am.entries[(ri + 1, ci)] = _entry(kept, sign < 0,
+                                  am.entries[(ri, ci)].sign)
 
 
 def _subdivide(state, sign=None):
@@ -228,7 +228,7 @@ def _reidemeister1(state, kind, sign=1):
     am.rows.append(label)
     nc = len(am.columns)
     am.columns.append(Column(colkind, ("grown", label)))
-    am.entries[(am.n - 1, nc)] = _entry(am, letter, sign < 0, 1)
+    am.entries[(am.n - 1, nc)] = _entry(letter, sign < 0, 1)
 
 
 def _reidemeister2(state, placement):

@@ -3,20 +3,11 @@
 Everything downstream (Kauffman bracket, Jones polynomial, Poincare
 polynomials) is a finite sum of monomials with possibly negative exponents,
 so a dict {exponent: coefficient} with Python ints is all we need.  No
-floating point anywhere.
+floating point anywhere.  ``Laurent`` (in A, int keys) and ``Laurent2`` (in
+u and v, pair keys) share one body, ``_Ring``, and differ only in the key,
+in how their own ``__mul__`` adds keys and in the names their ``format``
+gives the variables.
 """
-
-
-def _super(mapping, other):
-    # merge-add two coefficient dicts, dropping zeros
-    out = dict(mapping)
-    for e, c in other.items():
-        c2 = out.get(e, 0) + c
-        if c2:
-            out[e] = c2
-        else:
-            out.pop(e, None)
-    return out
 
 
 def _mul(a, b):
@@ -86,6 +77,13 @@ def _div(num, den):
     return out
 
 
+def _power(name, e):
+    """name^e as a factor of a printed monomial: "" for e = 0, name for 1."""
+    if e == 1:
+        return name
+    return "%s^%d" % (name, e) if e else ""
+
+
 def _wrap(cls, coeffs):
     # arithmetic results are already normalised: int keys, no zero values
     out = object.__new__(cls)
@@ -93,29 +91,22 @@ def _wrap(cls, coeffs):
     return out
 
 
-class Laurent:
-    """A Laurent polynomial in one variable with integer coefficients.
-
-    Internally a dict {exponent: coefficient} with no zero coefficients.
-    Instances are immutable in spirit; arithmetic returns new objects.
-    """
+class _Ring:
+    """A dict {exponent key: coefficient} with no zero coefficients; a
+    subclass adds ``_key`` (normalises a key), ``term``, ``__mul__`` and a
+    ``format`` that prints its monomials.  Instances are immutable in
+    spirit (arithmetic returns new objects), and the two rings never
+    compare equal."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         cc = {}
         if coeffs:
-            for e, c in coeffs.items():
+            for k, c in coeffs.items():
                 if c:
-                    cc[int(e)] = int(c)
+                    cc[self._key(k)] = int(c)
         self.coeffs = cc
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def term(cls, coeff, exp=0):
-        """Monomial coeff * X^exp."""
-        return cls({exp: coeff})
 
     @classmethod
     def zero(cls):
@@ -123,7 +114,69 @@ class Laurent:
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return cls.term(1)
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            c2 = out.get(k, 0) + c
+            if c2:
+                out[k] = c2
+            else:
+                out.pop(k, None)
+        return _wrap(type(self), out)
+
+    def __neg__(self):
+        return _wrap(type(self), {k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def _format(self, terms):
+        """Canonical human form of (coefficient, monomial) terms given in
+        ascending exponent order, the monomial without its coefficient."""
+        if not terms:
+            return "0"
+        text = ""
+        for c, body in terms:
+            mag = abs(c)
+            if not body:
+                body = str(mag)
+            elif mag != 1:
+                body = "%d%s" % (mag, body)
+            text += (" - " if c < 0 else " + ") + body
+        # the leading term keeps only a minus sign, with no space after it
+        return ("-" if text[1] == "-" else "") + text[3:]
+
+    def __str__(self):
+        return self.format()
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.coeffs)
+
+
+class Laurent(_Ring):
+    """A Laurent polynomial in one variable with integer coefficients,
+    keyed by int exponents."""
+
+    __slots__ = ()
+    _key = staticmethod(int)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def term(cls, coeff, exp=0):
+        """Monomial coeff * X^exp."""
+        return cls({exp: coeff})
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -134,15 +187,6 @@ class Laurent:
         return cls(out)
 
     # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        return _wrap(Laurent, _super(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return _wrap(Laurent, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         return _wrap(Laurent, _mul(self.coeffs, other.coeffs))
@@ -176,15 +220,6 @@ class Laurent:
             raise ZeroDivisionError("Laurent division by zero")
         return _wrap(Laurent, _div(self.coeffs, other.coeffs))
 
-    def __eq__(self, other):
-        return isinstance(other, Laurent) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     # -- queries -----------------------------------------------------------
 
     def at_one(self):
@@ -215,39 +250,15 @@ class Laurent:
 
     # -- presentation ------------------------------------------------------
 
+    def format(self, var="A"):
+        """Canonical human form in ascending exponent order, e.g.
+        -A^-5 - A^3 + A^7."""
+        return self._format([(c, _power(var, e))
+                             for e, c in sorted(self.coeffs.items())])
+
     def to_pairs(self):
         """[[exponent, coefficient], ...] sorted by ascending exponent."""
         return [[e, self.coeffs[e]] for e in sorted(self.coeffs)]
-
-    def format(self, var="A"):
-        """Canonical human form, terms in ascending exponent order.
-
-        e.g.  -A^-5 - A^3 + A^7
-        """
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                pw = var if e == 1 else "%s^%d" % (var, e)
-                body = pw if mag == 1 else "%d%s" % (mag, pw)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
-
-    def __str__(self):
-        return self.format()
-
-    def __repr__(self):
-        return "Laurent(%r)" % (self.coeffs,)
 
 
 def writhe_factor(w):
@@ -255,43 +266,19 @@ def writhe_factor(w):
     return Laurent.term(-1, -3) ** w
 
 
-class Laurent2:
-    """A Laurent polynomial in two variables (u, v), integer coefficients.
+class Laurent2(_Ring):
+    """A Laurent polynomial in (u, v) with integer coefficients, keyed by
+    exponent pairs: the bigraded Poincare polynomial."""
 
-    Same dict trick, keyed by exponent pairs.  Used for the bigraded
-    Poincare polynomial.
-    """
+    __slots__ = ()
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        cc = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if c:
-                    cc[(int(k[0]), int(k[1]))] = int(c)
-        self.coeffs = cc
+    @staticmethod
+    def _key(k):
+        return int(k[0]), int(k[1])
 
     @classmethod
     def term(cls, coeff, eu=0, ev=0):
         return cls({(eu, ev): coeff})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
-
-    def __add__(self, other):
-        return _wrap(Laurent2, _super(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return _wrap(Laurent2, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         out = {}
@@ -305,46 +292,11 @@ class Laurent2:
                     del out[k]
         return _wrap(Laurent2, out)
 
-    def __eq__(self, other):
-        return isinstance(other, Laurent2) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
+    def format(self, vars=("u", "v")):
+        """Canonical human form in ascending (u, v) order, e.g. u^-2v + uv."""
+        return self._format([(c, "".join(map(_power, vars, k)))
+                             for k, c in sorted(self.coeffs.items())])
 
     def to_pairs(self):
         """[[[u_exp, v_exp], coefficient], ...] in ascending (u, v) order."""
         return [[[a, b], self.coeffs[(a, b)]] for a, b in sorted(self.coeffs)]
-
-    def format(self, vars=("u", "v")):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.coeffs):
-            c = self.coeffs[(a, b)]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = ""
-            for var, e in zip(vars, (a, b)):
-                if e == 1:
-                    body += var
-                elif e:
-                    body += "%s^%d" % (var, e)
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = "%d%s" % (mag, body)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
-
-    def __str__(self):
-        return self.format()
-
-    def __repr__(self):
-        return "Laurent2(%r)" % (self.coeffs,)

@@ -347,17 +347,10 @@ def _all_terms(m):
             cols=cols,
             word=tuple([e.tok for e in ents]),
             parity=_parity(cols),
-            ksign=_prod_signs(ents),
+            ksign=math.prod(e.sign for e in ents),
         ))
         used[choice[0]] = False
     return terms
-
-
-def _prod_signs(entries):
-    s = 1
-    for e in entries:
-        s *= e.sign
-    return s
 
 
 def expand(m, check_duplicates=True):
@@ -417,16 +410,11 @@ def word_sum(words, table):
     plain integers.  A two-variable table goes through the same Kronecker
     substitution as det_value, so (u, v) exponents add as one integer.
     """
-    ring = type(next(iter(table.values())))
     for tok, val in table.items():
         if len(val.coeffs) != 1:
             raise ValueError("word_sum needs monomial letters; %r is %s"
                              % (tok, val))
-    coeffs = {tok: val.coeffs for tok, val in table.items()}
-    decode = None
-    if ring is Laurent2:
-        words = list(words)
-        coeffs, decode = _kronecker(coeffs, max(map(len, words), default=0))
+    coeffs, decode, words = _lower(table, 0, words)
     exponent, coefficient = {}, {}
     for tok, val in coeffs.items():
         (exponent[tok], coefficient[tok]), = val.items()
@@ -435,9 +423,7 @@ def word_sum(words, table):
     for word in words:
         e = sum(map(exp_of, word))
         total[e] = total.get(e, 0) + math.prod(map(coeff_of, word))
-    if decode is not None:
-        return decode(total)
-    return Laurent(total)
+    return decode(total)
 
 
 def perm_value(m, table):
@@ -553,13 +539,24 @@ def _eliminate(rows, n):
     return {e + shift: c * sign for e, c in piv[n].items()}
 
 
-def _kronecker(coeffs, n):
-    """Two-variable letter coefficients as one-variable ones, plus the decoder.
+def _lower(table, n, words=()):
+    """A letter table's values as raw one-variable coefficient dicts, the
+    decoder that makes a result dict a polynomial of the table's ring, and
+    the words again.
 
+    A one-variable table is already raw, Laurent itself decodes, and the
+    words come back as given.  A two-variable one is Kronecker-substituted,
     (u, v) -> x^(u + B v) with B = 2 U n + 1, where U bounds |u| over the
-    letters: every word of n letters then has |u| <= U n < B / 2, so each
-    monomial of the determinant decodes to exactly one (u, v).
+    letters and n is raised to the longest word (so the words are read
+    once, and come back as a list): every product of at most n letters
+    then has |u| <= U n < B / 2, so each monomial of the result decodes to
+    exactly one (u, v).
     """
+    coeffs = {tok: val.coeffs for tok, val in table.items()}
+    if type(next(iter(table.values()))) is not Laurent2:
+        return coeffs, Laurent, words
+    words = list(words)
+    n = max(n, max(map(len, words), default=0))
     bound = n * max((abs(u) for p in coeffs.values() for u, _ in p),
                     default=0)
     base = 2 * bound + 1
@@ -573,7 +570,7 @@ def _kronecker(coeffs, n):
             out[(e - base * v, v)] = c
         return Laurent2(out)
 
-    return flat, decode
+    return flat, decode, words
 
 
 def det_value(m, table):
@@ -591,10 +588,7 @@ def det_value(m, table):
     ValueError.
     """
     _require_square(m)
-    coeffs = {tok: val.coeffs for tok, val in table.items()}
-    decode = None
-    if type(next(iter(table.values()))) is Laurent2:
-        coeffs, decode = _kronecker(coeffs, m.n)
+    coeffs, decode, _ = _lower(table, m.n)
     rows = [{} for _ in range(m.n)]
     for (ri, ci), e in m.entries.items():
         val = coeffs[e.tok]
@@ -602,8 +596,7 @@ def det_value(m, table):
             rows[ri][ci] = {x: -c for x, c in val.items()}
         else:
             rows[ri][ci] = dict(val)
-    det = _eliminate(rows, m.n)
-    return Laurent(det) if decode is None else decode(det)
+    return decode(_eliminate(rows, m.n))
 
 
 # ---------------------------------------------------------------------------

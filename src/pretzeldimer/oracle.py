@@ -4,9 +4,10 @@ Two routes, each independent of what it checks:
 
 * the state sum uses nothing but the diagram's port wiring (no
   checkerboard graphs, activities or matrices), so it can referee
-  disagreements anywhere downstream.  It sums the 2^n smoothings in
-  groups, scanning the diagram crossing by crossing, so its cost is
-  polynomial in n on pretzel diagrams;
+  disagreements anywhere downstream.  It never visits a smoothing: a
+  frontier scan takes the diagram crossing by crossing and keeps one
+  tally per grouping of the open arcs, so its cost is polynomial in n on
+  pretzel diagrams;
 * the tree expansion enumerates the spanning trees of the signed Tait
   graph and adds up the Table-1 weights of their activity words, so it
   checks the activity matrix, its expansion and its determinant without

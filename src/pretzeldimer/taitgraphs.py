@@ -140,16 +140,6 @@ class Overlay(namedtuple("Overlay", "crossings set2 set3 edges corners "
     """
     __slots__ = ()
 
-    def __new__(cls, crossings, set2, set3, edges, corners,
-                crossing_signs=None, faces=None):
-        return super().__new__(cls, crossings, set2, set3, edges, corners,
-                               {} if crossing_signs is None else crossing_signs,
-                               [] if faces is None else faces)
-
-    @property
-    def edge_set(self):
-        return set(self.edges)
-
     def incident_regions(self, label):
         return [r for r in (self.corners[label][c] for c in "NSWE")
                 if r not in (TOP, OUT)]

@@ -308,3 +308,23 @@ def test_cli_import_loads_no_heavy_module():
                          capture_output=True, text=True, timeout=60).stdout
     assert "pretzeldimer.cli" in out.split()
     assert set(HEAVY_IMPORTS).isdisjoint(out.split())
+
+
+@pytest.mark.parametrize("argv", [["jones", "P(-2,3,7)"],
+                                  ["khovanov", "P(-2,3,201)"]])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # stdout is a pipe whose reader already went away, as `| head` leaves
+    # it: the short jones line fails at the final flush, the long
+    # khovanov line inside its print
+    src = os.path.dirname(os.path.dirname(pretzeldimer.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pretzeldimer.cli"] + argv, stdout=write,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr

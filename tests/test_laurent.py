@@ -62,18 +62,24 @@ def test_format_ascending():
     assert L([[-4, -1], [-3, 1], [-1, 1]]).format("t") == "-t^-4 + t^-3 + t^-1"
     assert str(Laurent.zero()) == "0"
     assert str(L([[0, -2], [1, 3]])) == "-2 + 3A"
+    assert L([[0, -2], [1, 3]]).format(var="q") == "-2 + 3q"
+
+
+def rand_laurent(rng):
+    return Laurent({rng.randint(-6, 6): rng.randint(-5, 5)
+                    for _ in range(rng.randint(0, 5))})
+
+
+def rand_laurent2(rng):
+    return Laurent2({(rng.randint(-3, 3), rng.randint(-3, 3)):
+                     rng.randint(-4, 4) for _ in range(rng.randint(0, 4))})
 
 
 def test_ring_axioms_random():
     rng = random.Random(20260815)
-
-    def rand_poly():
-        return Laurent({rng.randint(-6, 6): rng.randint(-5, 5)
-                        for _ in range(rng.randint(0, 5))})
-
     zero = Laurent.zero()
     for _ in range(200):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
+        a, b, c = rand_laurent(rng), rand_laurent(rng), rand_laurent(rng)
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
@@ -121,6 +127,8 @@ def test_two_variable_basics():
     uv = Laurent2.term(1, 1, 1)
     poincare = uv + Laurent2.term(1, -1, 1) + Laurent2.term(1, -2, 1)
     assert str(poincare) == "u^-2v + u^-1v + uv"
+    assert poincare.format(("x", "y")) == "x^-2y + x^-1y + xy"
+    assert poincare.format(vars=("x", "y")) == "x^-2y + x^-1y + xy"
     assert poincare.to_pairs() == [[[-2, 1], 1], [[-1, 1], 1], [[1, 1], 1]]
     assert poincare * Laurent2.one() == poincare
     assert (uv * Laurent2.term(1, -1, -1)) == Laurent2.one()
@@ -129,13 +137,36 @@ def test_two_variable_basics():
 
 def test_two_variable_ring_random():
     rng = random.Random(7)
-
-    def rand_poly():
-        return Laurent2({(rng.randint(-3, 3), rng.randint(-3, 3)):
-                         rng.randint(-4, 4) for _ in range(rng.randint(0, 4))})
-
     for _ in range(100):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
+        a, b, c = rand_laurent2(rng), rand_laurent2(rng), rand_laurent2(rng)
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert a - a == Laurent2.zero()
+
+
+@pytest.mark.parametrize("ring, rand_poly, other, lead, text", [
+    (Laurent, rand_laurent, Laurent2, {-2: -1, 1: 3}, "-A^-2 + 3A"),
+    (Laurent2, rand_laurent2, Laurent, {(-1, 2): -1, (0, 0): 3},
+     "-u^-1v^2 + 3"),
+])
+def test_shared_ring_body(ring, rand_poly, other, lead, text):
+    """Everything but the product is written once for both rings."""
+    rng = random.Random(16)
+    zero, one = ring.zero(), ring.one()
+    assert zero.coeffs == {} and not zero and str(zero) == "0"
+    assert one and one * one == one and one != zero
+    assert str(ring(lead)) == text
+    assert ring() != other() and ring.one() != other.one()
+    for _ in range(100):
+        a, b = rand_poly(rng), rand_poly(rng)
+        for value, sign in ((a + b, 1), (a - b, -1)):
+            assert type(value) is ring and 0 not in value.coeffs.values()
+            for k in set(a.coeffs) | set(b.coeffs):
+                want = a.coeffs.get(k, 0) + sign * b.coeffs.get(k, 0)
+                assert value.coeffs.get(k, 0) == want
+        assert (-a).coeffs == {k: -c for k, c in a.coeffs.items()}
+        assert type(-a) is ring and -(-a) == a
+        assert (a == b) == (a.coeffs == b.coeffs)
+        assert hash(a) == hash(ring(dict(a.coeffs)))
+        assert bool(a) == bool(a.coeffs)
+        assert repr(a) == "%s(%r)" % (ring.__name__, a.coeffs)

@@ -95,7 +95,7 @@ def test_overlay_balance_and_faces(spec):
     assert len(ov.faces) + 1 == e - v + 2
     for f in ov.faces:
         assert len(f) == 4
-        assert all(edge in ov.edge_set for edge in f)
+        assert all(edge in set(ov.edges) for edge in f)
 
 
 def test_single_column_overlay_has_no_bounded_faces():
@@ -109,7 +109,7 @@ def test_single_column_overlay_has_no_bounded_faces():
 def test_solve_kasteleyn_satisfies_parity(spec):
     ov = build_overlay(spec)
     signs = solve_kasteleyn(ov)
-    assert set(signs) == ov.edge_set
+    assert set(signs) == set(ov.edges)
     assert verify_kasteleyn(ov.faces, signs)
 
 
