@@ -17,11 +17,13 @@ The invariants never expand: det_value eliminates (fraction-free, exact
 over Z[A^+-1], unit pivots normalised, on raw {exponent: coefficient}
 dicts) over a letter table (JONES_TABLE in A, KHOVANOV_TABLE in (u, v),
 both defined here); extend fixes each invariant's global sign from its
-own value.  Elimination takes the columns sparsest first, whatever
-order they are stored in, and corrects the sign by that order's parity,
-so a column a move appends last costs what the same column of a pretzel
-costs.  It pivots on up-to-date rows and updates a stale row with one
-exact division, so P(3^k) and P(-2,3,n) take no polynomial division.
+own value.  Each elimination step takes the column with the fewest live
+rows, whatever order the columns are stored in, and the sign is corrected
+by that order's parity, so a column a move appends last costs what the
+same column of a pretzel costs.  It pivots on up-to-date rows and updates
+a stale row with one exact division, so the desk sweep, P(3^k) and
+P(-2,3,n) take no polynomial division, and it drops each pivot row and
+divisor once nothing reads it.
 The same kernel counts perfect matchings of signed minors
 (evaluate.stencil_pair_counts).  expand and perm_value enumerate every
 term; they serve word-level questions and are the slow route elimination
@@ -44,6 +46,7 @@ build_graph_matrix takes a ranks mapping so that this can be demonstrated.
 import json
 import math
 from collections import namedtuple
+from heapq import heappop, heappush
 
 from .activities import split_token, token
 from .diagram import column_labels, trace
@@ -444,18 +447,24 @@ def _eliminate(rows, n):
     dict.
 
     rows[i] maps column -> {exponent: coefficient}; the rows and their
-    entries are consumed (updated in place).  Fraction-free elimination
-    (Bareiss 1968) that normalises unit pivots, in a fill-reducing column
-    order worked out from the matrix: fewest entries first, ties in stored
-    order (the static form of Markowitz 1957).  Each column keeps the set
-    of unpivoted rows with an entry in it, so a step touches only those
-    rows.  Taking columns and pivot rows out of order permutes the matrix;
-    the parities of the two orders fix the sign at the end.
+    entries are consumed (updated in place, and each pivot row dropped
+    after its step).  Fraction-free elimination (Bareiss 1968) that
+    normalises unit pivots, in a fill-reducing column order chosen as it
+    goes: each step takes the unpivoted column with the fewest live rows,
+    ties to the lowest stored index (the dynamic form of Markowitz 1957).
+    Each column keeps the set of unpivoted rows with an entry in it, so a
+    step touches only those rows, and a heap holds one key per column,
+    count * n + column, pushed again whenever a step changes the count;
+    only the pivot row's columns can change.  Taking columns and pivot
+    rows out of order permutes the matrix; the parities of the two orders
+    fix the sign at the end.
 
     Step k divides by p_(k-1), the previous pivot (1 at the start).  A
     row with nothing in the pivot's column would only be scaled by
-    p_k / p_(k-1), so it is left alone; a row holding its step-s values is
-    current at step k when p_(s-1) = p_(k-1), and stale otherwise.
+    p_k / p_(k-1), so it is left alone; a row last updated at step s - 1
+    holds its step-s values and keeps p_(s-1), its divisor, by reference.
+    It is current at step k when p_(s-1) = p_(k-1), and stale otherwise.
+    A divisor that no unpivoted row keeps is freed with its last holder.
 
     * Pivot: a unit entry +-A^e of a current row first, then any current
       row, then the shortest entry, then the row holding the fewest
@@ -473,32 +482,39 @@ def _eliminate(rows, n):
     for r, row in enumerate(rows):
         for j in row:
             holders[j].add(r)
-    cols = sorted(range(n), key=lambda c: len(holders[c]))   # stable
-    pivots = []                   # pivot row of each step
-    stamp = [0] * n               # row i holds its step-stamp[i] values
-    piv = [_ONE]                  # piv[k] = divisor of step k = p_(k-1)
+    keys = [len(h) * n + c for c, h in enumerate(holders)]  # -1 once taken
+    heap = sorted(keys)
+    cols, pivots = [], []         # column and pivot row of each step
+    den = [_ONE] * n              # row -> its divisor p_(s-1)
+    cur = _ONE                    # p_(k-1), the divisor of step k
     shift, sign = 0, 1            # the unit factor sign * A^shift
 
-    for k, col in enumerate(cols):
-        active = sorted(holders[col])
+    for _ in range(n):
+        key = heappop(heap)
+        col = key % n
+        while keys[col] != key:       # replaced by a later push
+            key = heappop(heap)
+            col = key % n
+        keys[col] = -1
+        cols.append(col)
+        active = holders[col]         # no step changes it from here on
         best = pr = None
         for r in active:
             a = rows[r][col]
-            stale = piv[stamp[r]] != piv[k]
+            stale = den[r] != cur
             unit = not stale and len(a) == 1 and abs(*a.values()) == 1
-            key = (not unit, stale, len(a), sum(map(len, rows[r].values())))
-            if best is None or key < best:
-                best, pr = key, r
+            rank = (not unit, stale, len(a), sum(map(len, rows[r].values())),
+                    r)
+            if best is None or rank < best:
+                best, pr = rank, r
         if best is None:
             return {}
         pivots.append(pr)
-        prow = rows[pr]
+        prow, rows[pr] = rows[pr], None
         if best[1]:                   # stale: P <- P p_(k-1) / p_(s-1)
-            den = piv[stamp[pr]]
-            prow = {j: _div(_mul(x, piv[k]), den) for j, x in prow.items()}
+            prow = {j: _div(_mul(x, cur), den[pr]) for j, x in prow.items()}
+        den[pr] = None
         p = prow.pop(col)
-        for j in prow:
-            holders[j].discard(pr)
         pe, pc = 0, 1
         if not best[0]:               # fold the unit pivot into the factor
             (pe, pc), = p.items()
@@ -529,14 +545,21 @@ def _eliminate(rows, n):
                 if not t:
                     del row[j]
                     holders[j].discard(r)
-            den = piv[stamp[r]]
-            if den is not _ONE:
+            d = den[r]
+            if d is not _ONE:
                 for j, x in row.items():
-                    row[j] = _div(x, den)
-            stamp[r] = k + 1
-        piv.append(p)
+                    row[j] = _div(x, d)
+            den[r] = p
+        for j in prow:                # only these columns' counts moved
+            h = holders[j]
+            h.discard(pr)
+            key = len(h) * n + j
+            if keys[j] != key:
+                keys[j] = key
+                heappush(heap, key)
+        cur = p
     sign *= _parity(cols) * _parity(pivots)
-    return {e + shift: c * sign for e, c in piv[n].items()}
+    return {e + shift: c * sign for e, c in cur.items()}
 
 
 def _lower(table, n, words=()):
@@ -579,13 +602,12 @@ def det_value(m, table):
     Computed by elimination (``_eliminate``), never by term expansion, on
     the raw coefficient dicts of the table values: each entry's is copied
     once, negated for a -1 Kasteleyn sign, and one polynomial is made from
-    the result.  The kernel eliminates the columns in a fill-reducing
-    order it works out from the matrix, sparsest first, and corrects the
-    sign by that order's parity; the stored order, which ``pretty`` and
-    ``to_json`` print, is left alone.  It pivots on up-to-date rows first
-    and updates a stale row with one exact division.  Two-variable tables
-    go through a Kronecker substitution.  A non-square matrix raises
-    ValueError.
+    the result.  The kernel picks the columns in a fill-reducing order as
+    it goes, fewest live rows first, and corrects the sign by that order's
+    parity; the stored order, which ``pretty`` and ``to_json`` print, is
+    left alone.  It pivots on up-to-date rows first and updates a stale
+    row with one exact division.  Two-variable tables go through a
+    Kronecker substitution.  A non-square matrix raises ValueError.
     """
     _require_square(m)
     coeffs, decode, _ = _lower(table, m.n)

@@ -9,11 +9,12 @@ order, and on a matrix with duplicate words.  The bracket and the
 Poincare polynomial, whose signs extend reads off their own values, must
 equal perm_value, and the bracket's value at A = 1 must be the
 (-1)^(n+c-1) 2^(c-1) that the bracket's sign rule relies on.  The raw
-sign of two long chains is pinned, and columns of threes must eliminate
-with no polynomial division.  The elimination kernel is also held to a
-Leibniz sum on seeded matrices whose entries are not units, and the
-stencil pair counts, which are determinants of minors, to the word pairs
-the expansion lists.
+sign of two long chains is pinned, columns of threes and the whole desk
+sweep must eliminate with no polynomial division, and elimination must
+free its pivot rows and divisors as it goes.  The elimination kernel is
+also held to a Leibniz sum on seeded matrices whose entries are not
+units, and the stencil pair counts, which are determinants of minors, to
+the word pairs the expansion lists.
 """
 import contextlib
 import io
@@ -21,6 +22,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from paper_tables import desk_sweep
@@ -129,8 +131,8 @@ def test_elimination_matches_expansion_with_duplicate_words():
 
 # ---------------------------------------------------------------------------
 # the column order on long chains and many columns: det_value takes the
-# sparsest columns first, so a grown state's columns, stored last, go
-# first, and an odd order negates the result
+# column with the fewest live rows at each step, so a grown state's
+# columns, stored last, can go early, and an odd order negates the result
 
 
 @pytest.mark.parametrize("moves", [8, 16, 33, 64])
@@ -156,21 +158,60 @@ def test_det_value_exact_on_columns_of_three(k):
 PRODUCTS_BEFORE = {8: 72, 25: 259, 41: 435}
 
 
-@pytest.mark.parametrize("table", [JONES_TABLE, KHOVANOV_TABLE],
-                         ids=["Table 1", "Table 2"])
-@pytest.mark.parametrize("k", sorted(PRODUCTS_BEFORE))
-def test_columns_of_three_eliminate_without_division(monkeypatch, k, table):
-    # a row is divided only when its own step's divisor is not 1, and on
-    # P(3^k) every row is updated over the divisor 1
+def count_kernel_calls(monkeypatch):
+    """Counts of the kernel's polynomial products and divisions from here
+    on, as a dict that the calls update."""
     calls = {"_mul": 0, "_div": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(matrix, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(matrix, name, counted)
+    return calls
+
+
+TABLES = pytest.mark.parametrize("table", [JONES_TABLE, KHOVANOV_TABLE],
+                                 ids=["Table 1", "Table 2"])
+
+
+@TABLES
+@pytest.mark.parametrize("k", sorted(PRODUCTS_BEFORE))
+def test_columns_of_three_eliminate_without_division(monkeypatch, k, table):
+    # a row is divided only when its own step's divisor is not 1, and on
+    # P(3^k) every row is updated over the divisor 1
+    calls = count_kernel_calls(monkeypatch)
     det_value(initial_state((3,) * k).matrix, table)
     assert calls["_div"] == 0
     assert calls["_mul"] <= PRODUCTS_BEFORE[k]
+
+
+@TABLES
+def test_desk_sweep_eliminates_without_division(monkeypatch, table):
+    # the sparsest-first static order made 416 divisions over Table 1 and
+    # 480 over Table 2 here, on specs of mixed signs
+    matrices = [initial_state(spec).matrix for spec in desk_sweep()]
+    calls = count_kernel_calls(monkeypatch)
+    for m in matrices:
+        det_value(m, table)
+    assert calls["_mul"] > 0
+    assert calls["_div"] == 0
+
+
+#: bytes state_bracket may allocate at its peak on P(3^201); keeping every
+#: pivot row and divisor to the end took 14.6 MB, freeing them 0.9 MB
+PEAK_BYTES_P3_201 = 4 * 10 ** 6
+
+
+def test_elimination_frees_pivot_rows_and_divisors():
+    st = initial_state((3,) * 201)
+    tracemalloc.start()
+    try:
+        bracket = state_bracket(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bracket.at_one() == (-1) ** st.matrix.n    # a knot
+    assert peak < PEAK_BYTES_P3_201
 
 
 def jones_raw_sign(*argv):
@@ -217,8 +258,8 @@ def fixed_matrices(ring):
     """Hand-made matrices whose second pivot is a unit after a non-unit one.
 
     Column 0 has the fewest entries and holds no unit, so step 0 pivots on
-    2 (on 2x in the second matrix); columns 1 and 2 tie on three entries,
-    so column 1 comes next, and the update leaves 2 * 2 - 3 * 1 = 1
+    2 (on 2x in the second matrix); columns 1 and 2 then tie on two live
+    rows, so column 1 comes next, and the update leaves 2 * 2 - 3 * 1 = 1
     (2x * 2 - 3 * x = x), a unit, in it for step 1, and a third row for
     that step to update over a non-unit divisor.
     """

@@ -60,10 +60,30 @@ def test_tangle_bracket_small_cases():
         Laurent({6: -1, -2: -1, -6: 1, -10: -1})
 
 
+def random_spec(rng, k, largest):
+    """k columns of 1 to largest crossings, each of either sign."""
+    return tuple(rng.choice((-1, 1)) * rng.randint(1, largest)
+                 for _ in range(k))
+
+
+def random_specs(seed, count, largest):
+    """count seeded specs of 1 to 25 columns."""
+    rng = random.Random(seed)
+    return [random_spec(rng, rng.randint(1, 25), largest)
+            for _ in range(count)]
+
+
+#: mixed signs, 25 columns and 663 crossings: the sparsest-first column
+#: order scattered its strips and took 7 s and 123 polynomial divisions
+MIXED_SPEC = (28, -11, 23, -26, 25, -30, 48, 40, -50, -50, -21, 17, -18, 25,
+              -49, -18, -6, 5, 15, -3, -20, -35, -38, -40, -22)
+
+
 @pytest.mark.parametrize("specs", [
     [(3,) * k for k in range(1, 102)],
     [(-2, 3, 1601), (-2, 3, 1600), (2, -3, -801)],
-], ids=["P(3^k), k <= 101", "long columns"])
+    [MIXED_SPEC, random_spec(random.Random(5), 100, 50)],
+], ids=["P(3^k), k <= 101", "long columns", "mixed signs"])
 def test_matrix_bracket_matches_tangles_at_scale(specs):
     t0 = time.perf_counter()
     for spec in specs:
@@ -72,16 +92,37 @@ def test_matrix_bracket_matches_tangles_at_scale(specs):
     assert time.perf_counter() - t0 < TANGLE_BUDGET_S
 
 
-def test_matrix_bracket_matches_tangles_on_random_specs():
-    # knots and links alike, up to 25 columns of up to 50 crossings
-    rng = random.Random(2027)
+def check_knots_and_links(specs):
     t0 = time.perf_counter()
     components = set()
-    for _ in range(12):
-        spec = tuple(rng.choice((-1, 1)) * rng.randint(1, 50)
-                     for _ in range(rng.randint(1, 25)))
+    for spec in specs:
         assert state_bracket(initial_state(spec)) == tangle_bracket(spec), \
             spec
         components.add(trace(build_diagram(spec)).components == 1)
     assert components == {True, False}
     assert time.perf_counter() - t0 < TANGLE_BUDGET_S
+
+
+def test_matrix_bracket_matches_tangles_on_random_specs():
+    # knots and links alike, up to 25 columns of up to 50 crossings
+    check_knots_and_links(random_specs(2027, 12, 50))
+
+
+def test_matrix_bracket_matches_tangles_on_columns_of_up_to_500():
+    # up to 25 columns of up to 500 crossings, 350 to 2 900 in all
+    check_knots_and_links(random_specs(2028, 4, 500))
+
+
+#: seconds state_bracket may take on P(-2,3,40001), 40 006 columns: about
+#: 0.7 s when each step finds its column in a heap of live counts, and
+#: 183 s when it scans the remaining columns for the fewest
+LONG_COLUMN_BUDGET_S = 15
+
+
+def test_column_choice_stays_cheap_on_a_long_column():
+    spec = (-2, 3, 40001)
+    st = initial_state(spec)
+    t0 = time.perf_counter()
+    bracket = state_bracket(st)
+    assert time.perf_counter() - t0 < LONG_COLUMN_BUDGET_S
+    assert bracket == tangle_bracket(spec)
