@@ -21,6 +21,7 @@ the counts are checked against.
 """
 
 from collections import namedtuple
+from itertools import permutations
 
 from .diagram import trace
 from .extend import (initial_state, normalized, signed_bracket,
@@ -92,6 +93,12 @@ class StencilReport(namedtuple("StencilReport", "rows cols stencil")):
         }
 
 
+#: first-row letter pair -> (stencil name, second-row letter pair)
+_BY_FIRST_ROW = {first: (name, second) for name, (first, second) in STENCILS}
+#: every second-row letter pair; no first row is one
+_SECOND_ROWS = {second for _, second in _BY_FIRST_ROW.values()}
+
+
 def scan_differentials(m):
     """All 2x2 stencil instances in an activity matrix.
 
@@ -101,45 +108,32 @@ def scan_differentials(m):
     letters are read, so any signing (and any writhe weights) gives the
     same reports.
 
-    A row has at most four entries, so each row is indexed under its
-    unordered column pairs and compared only with the rows that share a
-    pair; a single column will not do, since the strip beside a long twist
-    column meets about n rows.  Reports come in row order of the first
-    row, then of the second, then by the two columns in sorted order.
+    A row has at most four entries, so at most twelve ordered column pairs
+    (ca, cb).  Each row is filed under (ca, cb, letter at ca, letter at cb)
+    where that letter pair is some stencil's second row, and each pair whose
+    letters are a stencil's first row looks up the one key completing it.
+    The cost is linear in the entries plus one sort of the reports, which
+    come in row order of the first row, then of the second, then by the two
+    columns in sorted order.
     """
-    view = {}
+    rows = {}                     # row position -> [(region, letter)]
     for (ri, ci), e in m.entries.items():
-        view[(m.rows[ri], m.columns[ci].region)] = e.tok
-    row_support = {label: set() for label in m.rows}
-    for (label, region) in view:
-        row_support[label].add(region)
-    holders = {}                  # unordered column pair -> rows holding it
-    for label in m.rows:
-        support = sorted(row_support[label])
-        for i, a in enumerate(support):
-            for b in support[i + 1:]:
-                holders.setdefault((a, b), []).append(label)
-    partners = {label: set() for label in m.rows}
-    for labels in holders.values():
-        for label in labels:
-            partners[label].update(labels)
-    position = {label: i for i, label in enumerate(m.rows)}
-
-    reports = []
-    for r1 in m.rows:
-        for r2 in sorted(partners[r1] - {r1}, key=position.__getitem__):
-            shared = sorted(row_support[r1] & row_support[r2])
-            for ca in shared:
-                for cb in shared:
-                    if ca == cb:
-                        continue
-                    got = (view[(r1, ca)], view[(r1, cb)],
-                           view[(r2, ca)], view[(r2, cb)])
-                    for name, ((s11, s12), (s21, s22)) in STENCILS:
-                        if got == (s11, s12, s21, s22):
-                            reports.append(StencilReport(
-                                rows=(r1, r2), cols=(ca, cb), stencil=name))
-    return reports
+        rows.setdefault(ri, []).append((m.columns[ci].region, e.tok))
+    holders = {}                  # (ca, cb, letter, letter) -> row positions
+    firsts = []                   # (row position, ca, cb, name, key sought)
+    for ri, row in rows.items():
+        for (ca, ta), (cb, tb) in permutations(row, 2):
+            if (ta, tb) in _SECOND_ROWS:
+                holders.setdefault((ca, cb, ta, tb), []).append(ri)
+            elif (ta, tb) in _BY_FIRST_ROW:
+                name, (sa, sb) = _BY_FIRST_ROW[(ta, tb)]
+                firsts.append((ri, ca, cb, name, (ca, cb, sa, sb)))
+    hits = sorted((r1, r2, ca, cb, name)
+                  for r1, ca, cb, name, key in firsts
+                  for r2 in holders.get(key, ()))
+    return [StencilReport(rows=(m.rows[r1], m.rows[r2]), cols=(ca, cb),
+                          stencil=name)
+            for r1, r2, ca, cb, name in hits]
 
 
 def stencil_word_pairs(m, reports):
@@ -194,10 +188,11 @@ def stencil_pair_counts(m, reports):
     """
     if not m.signed:
         raise ValueError("stencil_pair_counts needs a Kasteleyn-signed matrix")
+    ridx = {label: ri for ri, label in enumerate(m.rows)}
     cidx = {c.region: ci for ci, c in enumerate(m.columns)}
     counts = []
     for report in reports:
-        drop_rows = {m.rows.index(label) for label in report.rows}
+        drop_rows = {ridx[label] for label in report.rows}
         drop_cols = {cidx[region] for region in report.cols}
         keep_rows = [ri for ri in range(m.n) if ri not in drop_rows]
         keep_cols = [ci for ci in range(len(m.columns)) if ci not in drop_cols]

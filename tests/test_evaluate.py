@@ -5,6 +5,7 @@ import time
 import pytest
 from paper_tables import desk_sweep, gradings
 
+from pretzeldimer import cli
 from pretzeldimer.activities import activity_word, spanning_trees
 from pretzeldimer.diagram import build_diagram, trace
 from pretzeldimer.evaluate import (
@@ -23,7 +24,7 @@ from pretzeldimer.evaluate import (
     stencil_word_pairs,
     writhe_factor,
 )
-from pretzeldimer.extend import initial_state
+from pretzeldimer.extend import MOVES, apply_moves, initial_state
 from pretzeldimer.laurent import Laurent, Laurent2
 from pretzeldimer.oracle import (
     state_sum_bracket,
@@ -240,12 +241,14 @@ def reference_scan(m):
 
 
 def scan_specs():
-    """Every knot a benchmark workload runs khovanov on, plus three large.
+    """Every knot a benchmark workload runs khovanov on, plus six large.
 
     The desk sweep's knots (k in {2,3,4}, entries +-1..4, at most 12
     crossings), the wide slots P(3^5) ... P(3^7) and the long ladder
     P(-2,3,2m+1) for m = 2, 4, ..., 26, each with its mirror image; then
-    P(-2,3,401), P(-2,3,801) and P(3^25).
+    P(-2,3,401), P(-2,3,801) and P(3^25), whose long column is last or
+    absent, and P(3,101,3), P(-3,61,5) and P(2,-41,3,5), whose long column
+    is a middle one and so meets both strips beside it.
     """
     desk = desk_sweep()
     wide = [(2, 3, 3, 3, 3), (1, 3, 3, 3, 5), (3, 3, 3, 3, 3),
@@ -256,7 +259,8 @@ def scan_specs():
     knots = [spec for spec in desk + wide + long
              if trace(build_diagram(spec)).components == 1]
     return (knots + [tuple(-v for v in spec) for spec in wide + long]
-            + [(-2, 3, 401), (-2, 3, 801), (3,) * 25])
+            + [(-2, 3, 401), (-2, 3, 801), (3,) * 25,
+               (3, 101, 3), (-3, 61, 5), (2, -41, 3, 5)])
 
 
 def test_scan_matches_the_pairwise_reference():
@@ -269,6 +273,47 @@ def test_scan_matches_the_pairwise_reference():
         found += len(reports)
     assert found > 0
     assert time.perf_counter() - t0 < 60
+
+
+def test_scan_matches_the_pairwise_reference_on_grown_states():
+    # appended columns bring ("grown", label) regions into the index keys
+    rng = random.Random(7)
+    specs = desk_sweep()
+    names = sorted(MOVES)
+    used = set()
+    grown = found = 0
+    for _ in range(600):
+        chain = [rng.choice(names) for _ in range(rng.randint(1, 6))]
+        try:
+            m = apply_moves(initial_state(rng.choice(specs)), chain).matrix
+        except ValueError:            # edge extension after a kink
+            continue
+        reports = scan_differentials(m)
+        assert reports == reference_scan(m), chain
+        used.update(chain)
+        grown += 1
+        found += len(reports)
+    assert used == set(MOVES)
+    assert grown > 200 and found > 0
+
+
+def test_stencil_first_rows_are_distinct():
+    # the scan keys stencils on their first row, so two stencils sharing
+    # one would lose a report; and it files a letter pair as a second row
+    # or else as a first row, so no pair may be both
+    firsts = [first for _, (first, _) in STENCILS]
+    assert len(set(firsts)) == len(STENCILS)
+    assert not set(firsts) & {second for _, (_, second) in STENCILS}
+
+
+def test_khovanov_on_a_long_middle_column_is_fast(capsys):
+    # every crossing of the middle column touches both strips beside it
+    t0 = time.perf_counter()
+    assert cli.main(["khovanov", "P(-3,2001,5)"]) == 0
+    assert time.perf_counter() - t0 < 5
+    out = capsys.readouterr().out
+    # term-count law: 3*2001 + 3*5 + 2001*5 spanning trees
+    assert "total 16023 generators" in out
 
 
 def test_invariant_bundle_shapes():
