@@ -178,14 +178,6 @@ class Laurent(_Ring):
         """Monomial coeff * X^exp."""
         return cls({exp: coeff})
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        """Inverse of to_pairs(); accepts [[exp, coeff], ...]."""
-        out = {}
-        for e, c in pairs:
-            out[int(e)] = out.get(int(e), 0) + int(c)
-        return cls(out)
-
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
@@ -225,9 +217,6 @@ class Laurent(_Ring):
     def at_one(self):
         """Evaluate at X = 1 (just the coefficient sum)."""
         return sum(self.coeffs.values())
-
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
 
     # -- change of variable ------------------------------------------------
 

@@ -12,15 +12,15 @@ Two routes, each independent of what it checks:
   graph and adds up the Table-1 weights of their activity words, so it
   checks the activity matrix, its expansion and its determinant without
   using any of them.  The words come from activities.tree_words, which
-  builds the graph's rank order, index lists and letter tokens once and
-  reads each tree's word off them; the weights are summed by
-  matrix.word_sum, every Table-1 letter being a monomial +-A^k, so a word
-  costs integer additions and sign products, not polynomial products.
+  reads each tree's word off the deletion-contraction search that finds
+  the tree; the weights are summed by matrix.word_sum, every Table-1
+  letter being a monomial +-A^k, so a word costs integer additions and
+  sign products, not polynomial products.
 """
 
 from .activities import tree_words
 from .diagram import CORNERS
-from .laurent import Laurent, writhe_factor
+from .laurent import Laurent, _mul, writhe_factor
 from .matrix import JONES_TABLE, word_sum
 
 
@@ -61,7 +61,9 @@ def state_sum_bracket(diagram):
     applies its A and B pairings to every grouping; an arc whose ports are
     all processed retires, and a group that loses its last arc closes one
     loop.  The empty grouping is all that is left at the end, and its
-    tally divided once by delta is the bracket.
+    tally divided once by delta is the bracket.  The tallies are raw
+    coefficient dicts, multiplied by laurent._mul and added in place; one
+    polynomial is made at the end.
     """
     labels = sorted(diagram.crossings)
     step_of = {label: i for i, label in enumerate(labels)}
@@ -74,10 +76,10 @@ def state_sum_bracket(diagram):
     delta = Laurent({2: -1, -2: -1})
     # weight[kind][loops]: A^(+-1) * delta^loops, 0 = A, 1 = B; the two
     # pairings of one crossing close at most two groups
-    weight = [[Laurent.term(1, shift) * delta ** loops for loops in range(3)]
-              for shift in (1, -1)]
+    weight = [[(Laurent.term(1, shift) * delta ** loops).coeffs
+               for loops in range(3)] for shift in (1, -1)]
     frontier = []         # open arcs, in the order they opened
-    tallies = {(): Laurent.one()}
+    tallies = {(): {0: 1}}
     for step, label in enumerate(labels):
         slot = {a: i for i, a in enumerate(frontier)}
         slots = list(frontier)
@@ -108,9 +110,14 @@ def state_sum_bracket(diagram):
                 number = {}
                 grouping = tuple(number.setdefault(group[i], len(number))
                                  for i in keep)
-                term = tally * weight[kind][loops]
-                if grouping in scanned:
-                    term = scanned[grouping] + term
-                scanned[grouping] = term
+                term = _mul(tally, weight[kind][loops])
+                total = scanned.setdefault(grouping, term)
+                if total is not term:
+                    for e, c in term.items():
+                        c += total.get(e, 0)
+                        if c:
+                            total[e] = c
+                        else:
+                            del total[e]
         tallies = scanned
-    return tallies[()].exact_div(delta)
+    return Laurent(tallies[()]).exact_div(delta)

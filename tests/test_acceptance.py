@@ -50,7 +50,7 @@ def criterion(n, budget=None):
 
 
 def L(pairs):
-    return Laurent.from_pairs(pairs)
+    return Laurent(dict(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,18 @@ import pytest
 from paper_tables import (classify_parallel, classify_series, column_segments,
                           desk_sweep, perfect_matchings, word_str)
 
-from pretzeldimer.activities import (
-    activity_word,
-    matching_to_tree,
-    spanning_trees,
-    split_token,
-    token,
-    tree_words,
-)
-from pretzeldimer.taitgraphs import (BOT, build_overlay, build_tait,
-                                     dual_graph, strip)
+from tree_reference import (activity_word, fundamental_sets,
+                            reference_spanning_trees, reference_word,
+                            spanning_trees)
+
+from pretzeldimer.activities import (matching_to_tree, split_token, token,
+                                     tree_words)
+from pretzeldimer.taitgraphs import (BOT, TaitEdge, TaitGraph, build_overlay,
+                                     build_tait, dual_graph, strip)
+
+
+def trees_of(g):
+    return [t for t, _ in tree_words(g)]
 
 
 def tree_count_formula(spec):
@@ -36,7 +38,7 @@ def tree_count_formula(spec):
     ((-2, 3, 7), 41),
 ])
 def test_tree_counts_frozen(spec, count):
-    assert len(spanning_trees(build_tait(spec))) == count
+    assert len(trees_of(build_tait(spec))) == count
     assert count == tree_count_formula(spec)
 
 
@@ -45,14 +47,14 @@ def test_tree_counts_match_formula_random():
     for _ in range(10):
         k = rng.randint(2, 4)
         spec = tuple(rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(k))
-        assert len(spanning_trees(build_tait(spec))) == tree_count_formula(spec)
+        assert len(trees_of(build_tait(spec))) == tree_count_formula(spec)
 
 
 def test_trees_are_full_column_plus_omissions():
     spec = (-2, 3, 3)
     g = build_tait(spec)
     cols = [set(range(1, 3)), set(range(3, 6)), set(range(6, 9))]
-    for t in spanning_trees(g):
+    for t in trees_of(g):
         ts = set(t)
         full = [i for i, c in enumerate(cols) if c <= ts]
         assert len(full) == 1
@@ -129,7 +131,7 @@ def test_rank_permutation_mechanics():
     # swapping the order of edges 1 and 2 in the trefoil permutes the words
     g = build_tait((1, 1, 1))
     ranks = {1: 2, 2: 1, 3: 3}
-    words = {activity_word(g, t, ranks) for t in spanning_trees(g)}
+    words = {w for _, w in tree_words(g, ranks)}
     assert words == {("L", "d", "d"), ("l", "D", "d"), ("l", "l", "D")}
 
 
@@ -147,7 +149,7 @@ def test_activity_word_refuses_a_non_spanning_edge_set():
 def test_matchings_biject_with_trees(spec):
     g = build_tait(spec)
     ov = build_overlay(spec)
-    trees = spanning_trees(g)
+    trees = trees_of(g)
     matchings = perfect_matchings(ov)
     assert len(matchings) == len(trees)
     mapped = [matching_to_tree(g, ov, m) for m in matchings]
@@ -165,79 +167,6 @@ def test_first_trefoil_matching_deterministic():
 
 #: seconds the sweep below may take; the 4 112 specs have 181 760 trees
 REFERENCE_BUDGET_S = 60
-
-
-def _tree_adjacency(g, tree):
-    adj = {}
-    for e in tree:
-        u, v = g.endpoints(e)
-        adj.setdefault(u, []).append((v, e))
-        adj.setdefault(v, []).append((u, e))
-    return adj
-
-
-def _component_after_removal(ends, adj, drop):
-    """Vertex set of the component of tree - drop containing one endpoint."""
-    u0, _ = ends[drop]
-    seen = {u0}
-    stack = [u0]
-    while stack:
-        x = stack.pop()
-        for y, e in adj.get(x, ()):
-            if e != drop and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _tree_path_edges(adj, a, b):
-    prev = {a: None}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if x == b:
-            break
-        for y, e in adj.get(x, ()):
-            if y not in prev:
-                prev[y] = (x, e)
-                stack.append(y)
-    path = []
-    x = b
-    while prev[x] is not None:
-        x, e = prev[x]
-        path.append(e)
-    return path
-
-
-def fundamental_sets(g, tree):
-    """edge -> (in tree, its fundamental cut or cycle as a list of edges).
-
-    The cut of a tree edge is every edge with one end on each side of the
-    tree with that edge removed; the cycle of a non-tree edge is its tree
-    path plus itself.
-    """
-    ends = {e: g.endpoints(e) for e in g.edges}
-    adj = _tree_adjacency(g, tree)
-    tree_set = set(tree)
-    out = {}
-    for e, (u, v) in ends.items():
-        if e in tree_set:
-            side = _component_after_removal(ends, adj, e)
-            out[e] = (True, [x for x, (a, b) in ends.items()
-                             if (a in side) != (b in side)])
-        else:
-            out[e] = (False, _tree_path_edges(adj, u, v) + [e])
-    return out
-
-
-def reference_word(g, sets, ranks):
-    """Activity word from fundamental_sets: lowest in cut / lowest in cycle."""
-    letters = {}
-    for e, (in_tree, edges) in sets.items():
-        live = ranks[e] == min(map(ranks.__getitem__, edges))
-        letter = ("L" if live else "D") if in_tree else ("l" if live else "d")
-        letters[e] = token(letter, g.edges[e].sign < 0)
-    return tuple(letters[e] for e in sorted(g.edges, key=ranks.__getitem__))
 
 
 def _words_match_reference(spec, g, rankings):
@@ -286,34 +215,9 @@ def test_one_pass_words_match_reference_on_desk_sweep():
     assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
 
 
-def reference_spanning_trees(g):
-    """Contraction/deletion that copies the component map per included edge."""
-    labels = sorted(g.edges)
-    results = []
-
-    def rec(i, comp, count, chosen):
-        if count == 1:
-            results.append(tuple(chosen))
-            return
-        if i == len(labels) or count - 1 > len(labels) - i:
-            return
-        e = g.edges[labels[i]]
-        cu, cv = comp[e.u], comp[e.v]
-        if cu == cv:
-            rec(i + 1, comp, count, chosen)
-            return
-        merged = {v: (cu if c == cv else c) for v, c in comp.items()}
-        chosen.append(labels[i])
-        rec(i + 1, merged, count - 1, chosen)
-        chosen.pop()
-        rec(i + 1, comp, count, chosen)
-
-    rec(0, {v: v for v in g.vertices}, len(g.vertices), [])
-    return results
-
-
 def test_rollback_trees_match_reference_on_desk_sweep():
-    # same trees in the same order, for the Tait graph and its dual
+    # same trees in the same order from both references and from
+    # tree_words, for the Tait graph and its dual
     t0 = time.perf_counter()
     trees = 0
     for spec in desk_sweep():
@@ -321,6 +225,7 @@ def test_rollback_trees_match_reference_on_desk_sweep():
         for graph in (g, dual_graph(g)):
             got = spanning_trees(graph)
             assert got == reference_spanning_trees(graph), spec
+            assert trees_of(graph) == got, spec
             trees += len(got)
     assert trees == 2 * 181760
     assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
@@ -331,7 +236,7 @@ def test_tree_words_list_the_trees_in_spanning_trees_order():
     for spec in rng.sample(desk_sweep(), 200) + [(-2, 3, 41)]:
         g = build_tait(spec)
         for graph in (g, dual_graph(g)):
-            assert [t for t, _ in tree_words(graph)] == spanning_trees(graph)
+            assert trees_of(graph) == spanning_trees(graph)
 
 
 def test_trees_are_not_bounded_by_the_recursion_limit():
@@ -343,10 +248,90 @@ def test_trees_are_not_bounded_by_the_recursion_limit():
     sys.setrecursionlimit(200)
     try:
         assert len(g.edges) > 2 * sys.getrecursionlimit()
-        trees = spanning_trees(g)
+        trees = trees_of(g)
     finally:
         sys.setrecursionlimit(limit)
     assert len(trees) == tree_count_formula(spec)
     assert all(len(t) == len(g.vertices) - 1 for t in trees)
-    # include-first in ascending edge order lists the trees in sorted order
     assert trees == sorted(set(trees))
+
+
+# ---------------------------------------------------------------------------
+# graphs no pretzel makes: loops, one vertex, bridges between cycles
+
+def _graph(n, ends, signs=None):
+    """Vertices 0..n-1 and edges labelled 1.. in the order given."""
+    signs = signs or [1] * len(ends)
+    return TaitGraph(vertices=list(range(n)), corners={},
+                     edges={i: TaitEdge(i, u, v, s) for i, ((u, v), s)
+                            in enumerate(zip(ends, signs), start=1)})
+
+
+def _random_multigraph(rng):
+    """A connected multigraph of 1-7 vertices and at most 10 edges,
+    labelled in a random order, loops and parallel edges allowed."""
+    n = rng.randint(1, 7)
+    ends = [(rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(rng.randint(0, 10 - len(ends))):
+        ends.append((rng.randrange(n), rng.randrange(n)))
+    rng.shuffle(ends)
+    return _graph(n, ends, [rng.choice((1, -1)) for _ in ends])
+
+
+def _inner_bridges(g):
+    """Edges whose deletion splits g into two parts of two or more
+    vertices each, so deleting one leaves no tree yet isolates no vertex."""
+    out = []
+    for drop in g.edges:
+        u, v = g.endpoints(drop)
+        side, stack = {u}, [u]
+        while stack:
+            x = stack.pop()
+            for e in g.edges:
+                a, b = g.endpoints(e)
+                y = b if a == x else a if b == x else None
+                if e != drop and y is not None and y not in side:
+                    side.add(y)
+                    stack.append(y)
+        if v not in side and 2 <= len(side) <= len(g.vertices) - 2:
+            out.append(drop)
+    return out
+
+
+FIXED_GRAPHS = [
+    _graph(1, []),                                    # one vertex
+    _graph(1, [(0, 0), (0, 0)]),                      # one vertex, two loops
+    _graph(2, [(0, 1), (0, 1), (1, 0)], [1, -1, 1]),  # three parallel edges
+    # two triangles joined by a bridge that ranks highest, then lowest
+    _graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]),
+    _graph(6, [(2, 3), (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+]
+
+
+def test_tree_words_match_the_definition_on_random_multigraphs():
+    # every tree of every graph, under the identity ranking and two
+    # shuffled ones, against the definition and against both references
+    rng = random.Random(407)
+    graphs = FIXED_GRAPHS + [_random_multigraph(rng) for _ in range(400)]
+    trees = 0
+    for g in graphs:
+        assert trees_of(g) == reference_spanning_trees(g)
+        trees += _words_match_reference(
+            g, g, [None, _shuffled_ranks(g, rng), _shuffled_ranks(g, rng)])
+    assert trees > 1000
+    assert sum(1 for g in graphs if _inner_bridges(g)) >= 10
+    assert trees_of(FIXED_GRAPHS[0]) == [()]
+    assert [w for _, w in tree_words(FIXED_GRAPHS[1])] == [("l", "l")]
+
+
+def test_tree_words_on_a_long_column_are_fast():
+    # the series chain of 1601 edges costs O(1) per decision; listing the
+    # trees and then rooting each to read its word took 11-15 s
+    spec = (-2, 3, 1601)
+    g = build_tait(spec)
+    t0 = time.perf_counter()
+    batch = tree_words(g)
+    assert time.perf_counter() - t0 < 6
+    assert len(batch) == tree_count_formula(spec) == 8011
+    for t, w in random.Random(408).sample(batch, 3) + batch[:1] + batch[-1:]:
+        assert w == activity_word(g, t)

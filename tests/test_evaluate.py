@@ -4,9 +4,9 @@ import time
 
 import pytest
 from paper_tables import desk_sweep, gradings
+from tree_reference import activity_word, spanning_trees
 
 from pretzeldimer import cli
-from pretzeldimer.activities import activity_word, spanning_trees
 from pretzeldimer.diagram import build_diagram, trace
 from pretzeldimer.evaluate import (
     JONES_TABLE,
@@ -35,7 +35,7 @@ from pretzeldimer.taitgraphs import BOT, build_tait, strip
 
 
 def L(pairs):
-    return Laurent.from_pairs(pairs)
+    return Laurent(dict(pairs))
 
 
 def test_table_one_values():

@@ -5,7 +5,8 @@ op the benchmark can run, each confirmed by routes that bypass the
 activity matrix when the file was made.  The benchmark compares what it
 times with that file; this test runs a seeded sample of the same ops
 through ``cli.main`` in-process, as the benchmark worker does, and
-compares them too.  perfbench/workloads.py is loaded read-only for the op
+compares them too; every ``verify --json`` op, one per desk spec, runs in
+full.  perfbench/workloads.py is loaded read-only for the op
 universe; nothing under perfbench/ is written.
 """
 import contextlib
@@ -27,6 +28,9 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 #: workload's sample may take (about 1 s each on a 2-core box, CPython 3.11)
 SAMPLE_OPS = 200
 SAMPLE_BUDGET_S = 30
+
+#: seconds all 4 112 verify ops may take (about 8 s on a 2-core box)
+VERIFY_BUDGET_S = 60
 
 
 def _workloads():
@@ -72,19 +76,35 @@ def test_pools_are_the_golden_universe():
     assert all(WORKLOADS.key(op) in golden for op in WORKLOADS.universe())
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide", "long", "verify"])
-def test_sampled_ops_match_golden(workload):
+def _drift(ops):
+    """[(key, got, golden), ...] over the ops whose run differs."""
     golden = _golden()
-    pool = _pools()[workload]
-    ops = random.Random("golden:" + workload).sample(
-        pool, min(SAMPLE_OPS, len(pool)))
-    t0 = time.perf_counter()
     drifted = []
     for argv in ops:
         key = WORKLOADS.key(argv)
         got = list(_run(argv))
         if got != golden[key]:
             drifted.append((key, got, golden[key]))
+    return drifted
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide", "long", "verify"])
+def test_sampled_ops_match_golden(workload):
+    pool = _pools()[workload]
+    ops = random.Random("golden:" + workload).sample(
+        pool, min(SAMPLE_OPS, len(pool)))
+    t0 = time.perf_counter()
+    drifted = _drift(ops)
     elapsed = time.perf_counter() - t0
     assert not drifted, drifted[:5]
     assert elapsed < SAMPLE_BUDGET_S
+
+
+def test_every_verify_op_matches_golden():
+    ops = WORKLOADS.verify_universe()
+    assert len(ops) == 4112
+    t0 = time.perf_counter()
+    drifted = _drift(ops)
+    elapsed = time.perf_counter() - t0
+    assert not drifted, drifted[:5]
+    assert elapsed < VERIFY_BUDGET_S

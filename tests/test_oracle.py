@@ -14,7 +14,7 @@ REFERENCE_BUDGET_S = 60
 
 
 def L(pairs):
-    return Laurent.from_pairs(pairs)
+    return Laurent(dict(pairs))
 
 
 def test_bracket_single_kinks():

@@ -224,8 +224,6 @@ def test_one_site_applies_the_writhe_factor():
 
 #: top-level names kept for the tests alone, each with its reason
 REFERENCE = {
-    "activity_word": "one tree's word, the reference tree_words' shared "
-                     "setup is checked against",
     "matching_to_tree": "the matching -> tree bijection the activity "
                         "matrix rests on, checked on every perfect matching",
 }
