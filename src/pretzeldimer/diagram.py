@@ -72,15 +72,9 @@ class Diagram:
         return [(label, c) for label in sorted(self.crossings) for c in CORNERS]
 
     def arc_list(self):
-        """Each arc once, as a sorted pair of ports."""
-        seen = set()
-        out = []
-        for p, q in self.arcs.items():
-            key = frozenset((p, q))
-            if key not in seen:
-                seen.add(key)
-                out.append(tuple(sorted((p, q))))
-        return out
+        """Each arc once, as a sorted pair of ports: arcs is an involution
+        with no fixed port, so every arc appears as exactly one p < q."""
+        return [(p, q) for p, q in self.arcs.items() if p < q]
 
     def copy(self):
         return Diagram(

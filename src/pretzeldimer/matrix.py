@@ -28,7 +28,8 @@ The same kernel counts perfect matchings of signed minors
 (evaluate.stencil_pair_counts).  expand and perm_value enumerate every
 term; they serve word-level questions and are the slow route elimination
 is checked against.  The enumeration cuts the branches a column's last
-candidate row rules out and reads each parity off the cycle lengths, so on
+candidate row rules out and carries each term's permutation and Kasteleyn
+signs down the search, one popcount of the taken columns per step, so on
 pretzel matrices it costs about terms x n, but the number of terms grows
 exponentially with the number of twist columns.  word_sum is the one sum
 of table values over a list of words, for perm_value, verify's permanent
@@ -262,10 +263,17 @@ class Term(namedtuple("Term", "cols word parity ksign")):
 
 
 def _row_candidates(m):
+    """Each row's candidates in ascending column order, as (column, token,
+    2 if the Kasteleyn sign is -1 else 0, the column's bit)."""
     cands = [[] for _ in range(m.n)]
     for (ri, ci), e in sorted(m.entries.items()):
-        cands[ri].append((ci, e))
+        cands[ri].append((ci, e.tok, 2 if e.sign < 0 else 0, 1 << ci))
     return cands
+
+
+#: (parity, ksign) of a term, indexed by its flip bits: bit 0 is set for an
+#: odd permutation, bit 1 for an odd number of -1 Kasteleyn signs
+_SIGNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 
 
 def _parity(cols):
@@ -300,6 +308,13 @@ def _all_terms(m):
     the branch holds no term at all.  The search keeps its own stack, one
     iterator of open choices per row, so its depth is not bounded by
     Python's recursion limit.
+
+    The signs are carried down the search, not read off each finished
+    term: every row keeps the bitmask of the columns the rows above it
+    took and the flip bits of their partial term (see _SIGNS).  Row ri
+    taking column c adds one inversion per taken column above c, so the
+    permutation's parity flips when that popcount is odd, and a -1 entry
+    flips the Kasteleyn sign.
     """
     n = m.n
     _require_square(m)
@@ -307,10 +322,12 @@ def _all_terms(m):
     ending = [[] for _ in range(n)]   # row -> columns it is the last row of
     last = {}
     for ri, row in enumerate(cands):
-        for ci, _ in row:
-            last[ci] = ri
+        for c in row:
+            last[c[0]] = ri
     for ci, ri in last.items():
         ending[ri].append(ci)
+    # the taken columns as a list too: options tests every candidate, and
+    # a list index costs less than a bit test on an int of n bits
     used = [False] * n
     terms = []
 
@@ -326,8 +343,10 @@ def _all_terms(m):
             return iter([c for c in cands[ri] if not used[c[0]]])
         return iter([c for c in cands[ri] if c[0] == forced])
 
-    pick = [None] * n                 # (column, entry) taken by each row
+    pick = [None] * n                 # the candidate taken by each row
     todo = [None] * n                 # each open row's untried candidates
+    taken = [0] * n                   # bitmask of the columns rows above took
+    flips = [0] * n                   # flip bits of the rows above
     todo[0] = options(0)
     ri = 0
     while True:
@@ -339,20 +358,19 @@ def _all_terms(m):
             ri -= 1
             used[pick[ri][0]] = False
             continue
-        used[choice[0]] = True
         pick[ri] = choice
+        ci, _, negative, bit = choice
+        mask = taken[ri]
+        flip = flips[ri] ^ negative ^ ((mask >> ci).bit_count() & 1)
         if ri + 1 < n:
+            used[ci] = True
             ri += 1
+            taken[ri] = mask | bit
+            flips[ri] = flip
             todo[ri] = options(ri)
             continue
-        cols, ents = zip(*pick)
-        terms.append(Term(
-            cols=cols,
-            word=tuple([e.tok for e in ents]),
-            parity=_parity(cols),
-            ksign=math.prod(e.sign for e in ents),
-        ))
-        used[choice[0]] = False
+        cols, word, _, _ = zip(*pick)
+        terms.append(Term(cols, word, *_SIGNS[flip]))
     return terms
 
 

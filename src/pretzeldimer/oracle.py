@@ -7,7 +7,8 @@ Two routes, each independent of what it checks:
   disagreements anywhere downstream.  It never visits a smoothing: a
   frontier scan takes the diagram crossing by crossing and keeps one
   tally per grouping of the open arcs, so its cost is polynomial in n on
-  pretzel diagrams;
+  pretzel diagrams.  Its six weights A^+-1 delta^loops are built once per
+  process, and a grouping's successor renames at most two groups;
 * the tree expansion enumerates the spanning trees of the signed Tait
   graph and adds up the Table-1 weights of their activity words, so it
   checks the activity matrix, its expansion and its determinant without
@@ -17,6 +18,8 @@ Two routes, each independent of what it checks:
   letter being a monomial +-A^k, so a word costs integer additions and
   sign products, not polynomial products.
 """
+
+import functools
 
 from .activities import tree_words
 from .diagram import CORNERS
@@ -39,12 +42,27 @@ def tree_expansion_jones(g, w):
     total = writhe_factor(w) * tree_expansion_bracket(g)
     return total.reexpress(-4)
 
-# smoothing port pairings, by over-strand type:
+# smoothing port pairings by over-strand type, the A pairing first:
 #   A-smoothing rotates the over strand counterclockwise onto the under one
 _SMOOTHINGS = {
-    "/": {"A": (("NW", "SW"), ("NE", "SE")), "B": (("NW", "NE"), ("SW", "SE"))},
-    "\\": {"A": (("NW", "NE"), ("SW", "SE")), "B": (("NW", "SW"), ("NE", "SE"))},
+    "/": ((("NW", "SW"), ("NE", "SE")), (("NW", "NE"), ("SW", "SE"))),
+    "\\": ((("NW", "NE"), ("SW", "SE")), (("NW", "SW"), ("NE", "SE"))),
 }
+
+
+@functools.cache
+def _weights():
+    """delta = -A^2 - A^-2, and weight[kind][loops] = A^(+-1) * delta^loops
+    as raw coefficient dicts, kind 0 = A, 1 = B; the two pairings of one
+    crossing close at most two groups."""
+    delta = {2: -1, -2: -1}
+    weight = []
+    for shift in (1, -1):
+        row = [{shift: 1}]
+        for _ in range(2):
+            row.append(_mul(row[-1], delta))
+        weight.append(row)
+    return Laurent(delta), weight
 
 
 def state_sum_bracket(diagram):
@@ -58,12 +76,14 @@ def state_sum_bracket(diagram):
     not; the smoothings chosen so far join the open arcs into groups.  One
     exact tally of A^(a-b) * delta^loops is kept per grouping, keyed by the
     open arcs' group numbers in order of first appearance.  A crossing
-    applies its A and B pairings to every grouping; an arc whose ports are
-    all processed retires, and a group that loses its last arc closes one
-    loop.  The empty grouping is all that is left at the end, and its
-    tally divided once by delta is the bracket.  The tallies are raw
-    coefficient dicts, multiplied by laurent._mul and added in place; one
-    polynomial is made at the end.
+    applies its A and B pairings to every grouping: each pairing joins two
+    pairs of its four ports' groups, which renames at most two group
+    numbers; an arc whose ports are all processed retires, and a group
+    that loses its last arc closes one loop.  The empty grouping is all
+    that is left at the end, and its tally divided once by delta is the
+    bracket.  The tallies are raw coefficient dicts, multiplied by
+    laurent._mul and added in place, and the weights are built once per
+    process; one polynomial is made at the end.
     """
     labels = sorted(diagram.crossings)
     step_of = {label: i for i, label in enumerate(labels)}
@@ -73,44 +93,43 @@ def state_sum_bracket(diagram):
         arc_of[p] = arc_of[q] = i
         retire_at.append(max(step_of[p[0]], step_of[q[0]]))
 
-    delta = Laurent({2: -1, -2: -1})
-    # weight[kind][loops]: A^(+-1) * delta^loops, 0 = A, 1 = B; the two
-    # pairings of one crossing close at most two groups
-    weight = [[(Laurent.term(1, shift) * delta ** loops).coeffs
-               for loops in range(3)] for shift in (1, -1)]
+    delta, weight = _weights()
     frontier = []         # open arcs, in the order they opened
     tallies = {(): {0: 1}}
     for step, label in enumerate(labels):
         slot = {a: i for i, a in enumerate(frontier)}
-        slots = list(frontier)
+        width = len(frontier)
         for corner in CORNERS:
-            a = arc_of[(label, corner)]
-            if a not in slot:
-                slot[a] = len(slots)
-                slots.append(a)
-        byname = _SMOOTHINGS[diagram.crossings[label].over]
-        pairs = [[(slot[arc_of[(label, x)]], slot[arc_of[(label, y)]])
-                  for x, y in byname[kind]] for kind in ("A", "B")]
-        ports = [slot[arc_of[(label, c)]] for c in CORNERS]
-        keep = [i for i, a in enumerate(slots) if retire_at[a] != step]
+            slot.setdefault(arc_of[label, corner], len(slot))
+        # per kind: its ports as slots x, y, u, v, which it joins x to y
+        # and u to v, and its weights by the loops it closes
+        over = diagram.crossings[label].over
+        moves = [([slot[arc_of[label, c]] for pair in pairing for c in pair],
+                  w) for pairing, w in zip(_SMOOTHINGS[over], weight)]
+        # the slots of the arcs that stay open, which a grouping keys on
+        keep = [i for a, i in slot.items() if retire_at[a] != step]
+        frontier = [a for a, i in slot.items() if retire_at[a] != step]
         # arcs opening here get group numbers no grouping uses yet
-        fresh = list(range(len(frontier), len(slots)))
-        frontier = [slots[i] for i in keep]
+        fresh = tuple(range(width, len(slot)))
 
         scanned = {}
         for key, tally in tallies.items():
-            for kind in (0, 1):
-                group = list(key) + fresh
-                for x, y in pairs[kind]:
-                    gx, gy = group[x], group[y]
-                    if gx != gy:
-                        group = [gx if g == gy else g for g in group]
-                left = {group[i] for i in keep}
-                loops = len({group[i] for i in ports} - left)
+            group = key + fresh
+            kept = [group[i] for i in keep]
+            for (x, y, u, v), w in moves:
+                # join y's group to x's, then v's to u's; then gx and gu
+                # are the ports' groups, and get renames the joined ones
+                gx, gy, gu, gv = group[x], group[y], group[u], group[v]
+                gu = gx if gu == gy else gu
+                gv = gx if gv == gy else gv
+                if gv == gx:
+                    gx = gu
+                get = {gy: gx, gv: gu}.get
                 number = {}
-                grouping = tuple(number.setdefault(group[i], len(number))
-                                 for i in keep)
-                term = _mul(tally, weight[kind][loops])
+                grouping = tuple([number.setdefault(get(g, g), len(number))
+                                  for g in kept])
+                loops = (gx not in number) + (gu != gx and gu not in number)
+                term = _mul(tally, w[loops])
                 total = scanned.setdefault(grouping, term)
                 if total is not term:
                     for e, c in term.items():

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from paper_tables import desk_sweep
 
 from pretzeldimer.diagram import (
     CORNERS,
@@ -8,6 +11,7 @@ from pretzeldimer.diagram import (
     parse_spec,
     trace,
 )
+from pretzeldimer.extend import MOVES, apply_moves, initial_state
 
 
 def test_parse_spec_forms():
@@ -110,3 +114,38 @@ def test_outer_top_arc_flanks_the_deck():
     p, q = d.outer_top_arc
     assert d.arcs[p] == q
     assert {p, q} == {(1, "NW"), (8, "NE")}
+
+
+def reference_arc_list(d):
+    """Each arc once as a sorted pair, told apart through frozensets."""
+    seen = set()
+    out = []
+    for p, q in d.arcs.items():
+        key = frozenset((p, q))
+        if key not in seen:
+            seen.add(key)
+            out.append(tuple(sorted((p, q))))
+    return out
+
+
+def test_arc_list_matches_the_frozenset_construction():
+    diagrams = [build_diagram(spec) for spec in desk_sweep()]
+    rng = random.Random(1729)
+    specs = desk_sweep(8)
+    names = sorted(MOVES)
+    used = set()
+    grown = 0
+    while grown < 300:
+        chain = [rng.choice(names) for _ in range(rng.randint(1, 4))]
+        try:
+            diagrams.append(apply_moves(initial_state(rng.choice(specs)),
+                                        chain).diagram)
+        except ValueError:            # edge extension after a kink
+            continue
+        used.update(chain)
+        grown += 1
+    assert used == set(MOVES)
+    for d in diagrams:
+        got = d.arc_list()
+        assert len(set(got)) == len(got) == len(d.arcs) // 2
+        assert set(got) == set(reference_arc_list(d))

@@ -6,6 +6,7 @@ import time
 import pytest
 from paper_tables import desk_sweep
 
+from pretzeldimer import matrix
 from pretzeldimer.activities import tree_words
 from pretzeldimer.extend import MOVES, apply_moves, initial_state
 from pretzeldimer.matrix import (
@@ -350,6 +351,20 @@ def reference_parity(cols):
     return -1 if inv & 1 else 1
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 400])
+def test_parity_matches_the_inversion_count(n):
+    # the kernel's sign rests on _parity; the expansion no longer calls it
+    rng = random.Random(n)
+    perms = [list(range(n)), list(range(n))[::-1]]
+    for _ in range(30):
+        perms.append(rng.sample(range(n), n))
+    signs = set()
+    for cols in perms:
+        assert matrix._parity(cols) == reference_parity(cols), cols
+        signs.add(reference_parity(cols))
+    assert signs == ({1} if n < 2 else {1, -1})
+
+
 def reference_terms(m):
     """Backtracking over every free candidate column, row by row."""
     cands = [[] for _ in range(m.n)]
@@ -472,6 +487,24 @@ def test_expansion_explores_no_dead_branches(spec):
         terms, calls = expansion_calls(m)
         assert terms > 0
         assert m.n < calls <= terms * (m.n + 1), (spec, terms, calls)
+
+
+def test_expansion_carries_its_signs_down_the_search(monkeypatch):
+    # each term's parity comes from one popcount per search step; only
+    # the elimination kernel reads a parity off a whole permutation
+    calls = []
+
+    def counted(cols, _parity=matrix._parity):
+        calls.append(len(cols))
+        return _parity(cols)
+
+    monkeypatch.setattr(matrix, "_parity", counted)
+    for spec in [(-2, 3, 3), (-2, 3, 41)]:
+        m = pipeline_matrix(spec, enhanced=False)
+        assert len({t.parity * t.ksign for t in expand(m)}) == 1
+        assert calls == []
+    det_value(m, JONES_TABLE)
+    assert calls == [m.n, m.n]
 
 
 def test_expansion_is_not_bounded_by_the_recursion_limit():

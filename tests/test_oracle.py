@@ -182,6 +182,21 @@ def test_rollback_state_sum_matches_reference_on_move_chains():
     assert time.perf_counter() - t0 < REFERENCE_BUDGET_S
 
 
+def test_state_sum_builds_its_weights_once(monkeypatch):
+    d = build_diagram((-2, 3, 7))
+    first = state_sum_bracket(d)
+    calls = 0
+
+    def counted(self, n, _pow=Laurent.__pow__):
+        nonlocal calls
+        calls += 1
+        return _pow(self, n)
+
+    monkeypatch.setattr(Laurent, "__pow__", counted)
+    assert state_sum_bracket(d) == first
+    assert calls == 0
+
+
 def random_spec(rng, k, knot):
     """Pretzel spec with k columns and at most about 400 crossings.
 
