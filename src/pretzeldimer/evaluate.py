@@ -15,13 +15,17 @@ functions below build ``initial_state(spec)`` and delegate to it.
 
 The differential stencils are scanned off the matrix letters.  Their word
 pairs are counted without expansion, each as the determinant of a
-Kasteleyn-signed minor (``stencil_pair_counts``); ``stencil_word_pairs``
-lists the pairs themselves by expanding every term, and is the slow route
-the counts are checked against.
+Kasteleyn-signed minor, and all of these come from one exact integer
+elimination of the whole matrix by Jacobi's complementary-minor identity
+(``stencil_pair_counts``); ``stencil_word_pairs`` lists the pairs
+themselves by expanding every term, and is the slow route the counts are
+checked against.
 """
 
 from collections import namedtuple
+from heapq import heappop, heappush
 from itertools import permutations
+from math import gcd
 
 from .diagram import trace
 from .extend import (initial_state, normalized, signed_bracket,
@@ -30,7 +34,7 @@ from .extend import (initial_state, normalized, signed_bracket,
                      state_khovanov_poincare, state_matrix)
 from .laurent import Laurent, Laurent2, writhe_factor  # noqa: F401  (public)
 from .matrix import (JONES_TABLE, KHOVANOV_TABLE,  # noqa: F401  (tables)
-                     ActivityMatrix, det_value, expand)
+                     det_value, expand)
 from .taitgraphs import region_name
 
 
@@ -169,44 +173,130 @@ def stencil_word_pairs(m, reports):
     return out
 
 
-#: every letter -> 1, so a determinant over it counts signed permutations
-_ONES = dict.fromkeys(JONES_TABLE, Laurent.one())
+def _pair_counts(m, quads):
+    """|det| of the minor of the Kasteleyn sign matrix S without rows r1, r2
+    and columns c1, c2, for each (r1, r2, c1, c2) of quads.
+
+    By Jacobi's complementary-minor identity it is |y_r1[c1] y_r2[c2] -
+    y_r2[c1] y_r1[c2]| / |det S|, where y_r = det S * S^-1 e_r is column r
+    of the adjugate.  One elimination over Z, by _eliminate's column rule
+    and carrying each e_r as a column n + i, gives them all.  A row (v, d)
+    stands for v / d: pivot p makes it v - a p v_P for a unit p, else
+    (p v - a v_P) / (p d) reduced by its gcd, so d divides a leading minor
+    (D_k = D_(k-1) p / d_P after step k) and every integer a row keeps is
+    below 4^n (by Hadamard, as a row of S holds at most four +-1 entries,
+    every minor is below 2^n).  Back-substitution times D_n = +-det S, over the
+    pivot rows a wanted column reaches, makes every unknown an adjugate
+    entry.  A remainder or a singular S raises ValueError.
+    """
+    n = m.n
+    want = {}                             # r -> the columns of y_r read
+    for r1, r2, c1, c2 in quads:
+        for r in (r1, r2):
+            want.setdefault(r, set()).update((c1, c2))
+    need = set().union(*want.values())
+    live = [{} for _ in range(n)]
+    holders = [set() for _ in range(n + len(want))]  # column -> live rows
+    for (ri, ci), e in m.entries.items():
+        live[ri][ci] = e.sign
+        holders[ci].add(ri)
+    for i, ri in enumerate(want, n):
+        live[ri][i] = 1
+        holders[i].add(ri)
+    keys = [len(holders[c]) * n + c for c in range(n)]  # -1 once taken
+    heap = sorted(keys)
+    den = [1] * n
+    det, kept = 1, []
+    for _ in range(n):
+        key = heappop(heap)
+        while keys[key % n] != key:       # replaced by a later push
+            key = heappop(heap)
+        col = key % n
+        keys[col] = -1
+        if not holders[col]:
+            raise ValueError("the Kasteleyn matrix is singular")
+        best = None                       # a unit entry, a short row, low r
+        for r in holders[col]:
+            rank = (abs(live[r][col]) != 1, len(live[r]), r)
+            if best is None or rank < best:
+                best, pr = rank, r
+        prow, live[pr] = live[pr], None
+        p = prow.pop(col)
+        det, rem = divmod(det * p, den[pr])
+        if rem:
+            raise ValueError("inexact leading minor")
+        unit = abs(p) == 1
+        holders[col].discard(pr)          # no later step reads the column
+        for r in holders[col]:
+            row = live[r]
+            a = row.pop(col)
+            if unit:
+                a *= p
+            else:
+                for j in row:
+                    row[j] *= p
+                den[r] *= p
+            for j, x in prow.items():
+                v = row.get(j, 0) - a * x
+                if v:
+                    if j not in row:
+                        holders[j].add(r)
+                    row[j] = v
+                elif j in row:
+                    del row[j]
+                    holders[j].discard(r)
+            if not unit:
+                g = gcd(den[r], *row.values())
+                den[r] //= g
+                live[r] = {j: v // g for j, v in row.items()}
+        for j in prow:                    # only these columns' counts moved
+            holders[j].discard(pr)
+            key = len(holders[j]) * n + j
+            if j < n and keys[j] != key:
+                keys[j] = key
+                heappush(heap, key)
+        if col in need:
+            need.update(prow)
+            kept.append((col, p, prow))
+    y = {}                                # (r, c) -> y_r[c]
+    for i, (r, cols) in enumerate(want.items(), n):
+        yr = {i: -det}
+        for col, p, prow in reversed(kept):
+            yr[col], rem = divmod(-sum(x * yr.get(j, 0)
+                                       for j, x in prow.items()), p)
+            if rem:
+                raise ValueError("inexact back-substitution")
+        y.update(((r, c), yr[c]) for c in cols)
+    out = []
+    for r1, r2, c1, c2 in quads:
+        count, rem = divmod(abs(y[r1, c1] * y[r2, c2] - y[r2, c1] * y[r1, c2]),
+                            abs(det))
+        if rem:
+            raise ValueError("inexact stencil pair count")
+        out.append(count)
+    return out
 
 
 def stencil_pair_counts(m, reports):
     """The number of expansion word pairs of each stencil report.
 
     A pair is a term through the stencil's diagonal and one through its
-    anti-diagonal that agree on every other row, so the pairs of a report
-    are the perfect matchings of the minor left after deleting the
-    stencil's two rows and two columns.  In a Kasteleyn-signed matrix every
-    term of that minor carries the same sign (Kenyon 1997, "Local
-    statistics of lattice dimers", with Jacobi's complementary-minor
-    identity), so the count is |det| of the signed minor, evaluated with
-    every letter sent to 1.  Equal to the lengths of ``stencil_word_pairs``,
-    which enumerates the terms; the matrix must be Kasteleyn-signed.
+    anti-diagonal that agree on every other row: a perfect matching of the
+    minor without the stencil's two rows and columns.  In a Kasteleyn-signed
+    matrix all of them carry one sign (Kenyon 1997, "Local statistics of
+    lattice dimers"), so the count is the signed minor's |det| with every
+    letter sent to 1, which _pair_counts finds for every report at once.
+    Equal to the lengths of ``stencil_word_pairs``; the matrix must be
+    Kasteleyn-signed.
     """
     if not m.signed:
         raise ValueError("stencil_pair_counts needs a Kasteleyn-signed matrix")
+    if not reports:
+        return []
     ridx = {label: ri for ri, label in enumerate(m.rows)}
     cidx = {c.region: ci for ci, c in enumerate(m.columns)}
-    counts = []
-    for report in reports:
-        drop_rows = {ridx[label] for label in report.rows}
-        drop_cols = {cidx[region] for region in report.cols}
-        keep_rows = [ri for ri in range(m.n) if ri not in drop_rows]
-        keep_cols = [ci for ci in range(len(m.columns)) if ci not in drop_cols]
-        rpos = {ri: i for i, ri in enumerate(keep_rows)}
-        cpos = {ci: i for i, ci in enumerate(keep_cols)}
-        minor = ActivityMatrix(
-            rows=[m.rows[ri] for ri in keep_rows],
-            columns=[m.columns[ci] for ci in keep_cols],
-            entries={(rpos[ri], cpos[ci]): e
-                     for (ri, ci), e in m.entries.items()
-                     if ri in rpos and ci in cpos},
-            signed=True)
-        counts.append(abs(det_value(minor, _ONES).at_one()))
-    return counts
+    return _pair_counts(m, [(ridx[r1], ridx[r2], cidx[c1], cidx[c2])
+                            for (r1, r2), (c1, c2), _ in reports])
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ same column of a pretzel costs.  It pivots on up-to-date rows and updates
 a stale row with one exact division, so the desk sweep, P(3^k) and
 P(-2,3,n) take no polynomial division, and it drops each pivot row and
 divisor once nothing reads it.
-The same kernel counts perfect matchings of signed minors
-(evaluate.stencil_pair_counts).  expand and perm_value enumerate every
+The stencil pair counts (evaluate.stencil_pair_counts) eliminate over Z
+in this column order too.  expand and perm_value enumerate every
 term; they serve word-level questions and are the slow route elimination
 is checked against.  The enumeration cuts the branches a column's last
 candidate row rules out and carries each term's permutation and Kasteleyn

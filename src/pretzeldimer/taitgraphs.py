@@ -140,10 +140,6 @@ class Overlay(namedtuple("Overlay", "crossings set2 set3 edges corners "
     """
     __slots__ = ()
 
-    def incident_regions(self, label):
-        return [r for r in (self.corners[label][c] for c in "NSWE")
-                if r not in (TOP, OUT)]
-
 
 def build_overlay(spec):
     spec = tuple(spec)

@@ -3,13 +3,15 @@ reproduce them.
 
 The series/parallel word shapes of a twist column, the split of a word into
 its columns, the human form of a word, the (u, v) bidegree of a word, the
-perfect matchings of the balanced overlay by backtracking, and the one
-desk sweep of specs the tests run over.  The program never reads these;
-the tests hold its words and matrices to them.
+regions a crossing meets in the balanced overlay and the overlay's perfect
+matchings by backtracking, and the one desk sweep of specs the tests run
+over.  The program never reads these; the tests hold its words and
+matrices to them.
 """
 import itertools
 
 from pretzeldimer.activities import split_token
+from pretzeldimer.taitgraphs import OUT, TOP
 
 
 def desk_sweep(max_crossings=12):
@@ -88,6 +90,12 @@ def column_segments(word, spec):
     return out
 
 
+def incident_regions(overlay, label):
+    """The crossing's corner regions that survive in the overlay."""
+    return [r for r in (overlay.corners[label][c] for c in "NSWE")
+            if r not in (TOP, OUT)]
+
+
 def perfect_matchings(overlay):
     """All perfect matchings, backtracking in crossing order.
 
@@ -95,7 +103,7 @@ def perfect_matchings(overlay):
     regions, using every region exactly once; returned as tuples aligned
     with overlay.crossings.
     """
-    candidates = [overlay.incident_regions(c) for c in overlay.crossings]
+    candidates = [incident_regions(overlay, c) for c in overlay.crossings]
     used = set()
     results = []
     pick = []

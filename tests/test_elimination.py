@@ -14,7 +14,8 @@ sweep must eliminate with no polynomial division, and elimination must
 free its pivot rows and divisors as it goes.  The elimination kernel is
 also held to a Leibniz sum on seeded matrices whose entries are not
 units, and the stencil pair counts, which are determinants of minors, to
-the word pairs the expansion lists.
+the word pairs the expansion lists and to one elimination per minor
+(tree_reference.reference_pair_counts).
 """
 import contextlib
 import io
@@ -26,13 +27,16 @@ import tracemalloc
 
 import pytest
 from paper_tables import desk_sweep
+from test_tangle import MIXED_SPEC
+from tree_reference import reference_pair_counts
 
-from pretzeldimer import matrix
+from pretzeldimer import evaluate, matrix
 from pretzeldimer.cli import main
 from pretzeldimer.diagram import trace
 from pretzeldimer.evaluate import (JONES_TABLE, KHOVANOV_TABLE,
-                                   pipeline_matrix, scan_differentials,
-                                   stencil_pair_counts, stencil_word_pairs)
+                                   StencilReport, pipeline_matrix,
+                                   scan_differentials, stencil_pair_counts,
+                                   stencil_word_pairs)
 from pretzeldimer.extend import (MOVES, apply_moves, initial_state,
                                  state_bracket, state_jones_raw,
                                  state_khovanov_poincare)
@@ -377,7 +381,8 @@ def test_det_value_refuses_non_square_matrix(shape):
 
 
 # ---------------------------------------------------------------------------
-# stencil pair counts by minors against the listed word pairs
+# stencil pair counts from one elimination against the listed word pairs
+# and against one elimination per minor
 
 #: seconds each pair-count comparison may take
 PAIR_COUNT_BUDGET_S = 60
@@ -421,3 +426,80 @@ def test_pair_counts_need_a_signed_matrix():
     m = pipeline_matrix((-2, 3, 3), signed=False, enhanced=False)
     with pytest.raises(ValueError, match="Kasteleyn"):
         stencil_pair_counts(m, scan_differentials(m))
+
+
+def check_reference_counts(m):
+    reports = scan_differentials(m)
+    assert stencil_pair_counts(m, reports) == reference_pair_counts(m, reports)
+    return len(reports)
+
+
+def test_pair_counts_match_minors_on_seeded_specs_and_chains():
+    t0 = time.perf_counter()
+    rng = random.Random(2121)
+    reports = 0
+    for _ in range(40):
+        spec = tuple(rng.choice((1, -1)) * rng.randint(1, 9)
+                     for _ in range(rng.randint(2, 12)))
+        reports += check_reference_counts(initial_state(spec).matrix)
+    specs = desk_sweep()
+    names = sorted(MOVES)
+    checked = 0
+    while checked < 100:
+        chain = [rng.choice(names) for _ in range(rng.randint(1, 6))]
+        try:
+            st = apply_moves(initial_state(rng.choice(specs)), chain)
+        except ValueError:            # edge extension after a kink
+            continue
+        reports += check_reference_counts(st.matrix)
+        checked += 1
+    assert reports == 335
+    assert time.perf_counter() - t0 < PAIR_COUNT_BUDGET_S
+
+
+@pytest.mark.parametrize("spec", [(-2, 3) * 20, (3, -3) * 50 + (2,),
+                                  MIXED_SPEC],
+                         ids=["P((-2,3)^20)", "P((3,-3)^50,2)", "MIXED_SPEC"])
+def test_pair_counts_match_minors_at_scale(spec):
+    t0 = time.perf_counter()
+    assert check_reference_counts(initial_state(spec).matrix) > 0
+    assert time.perf_counter() - t0 < PAIR_COUNT_BUDGET_S
+
+
+def test_pair_counts_take_one_elimination(monkeypatch):
+    calls = []
+
+    def counted(m, table):
+        calls.append(1)
+        return det_value(m, table)
+
+    monkeypatch.setattr(evaluate, "det_value", counted)
+    m = initial_state((-2, 3) * 20).matrix
+    reports = scan_differentials(m)
+    assert len(reports) == 39
+    stencil_pair_counts(m, reports)
+    assert calls == []
+
+
+def test_pair_counts_of_a_hundred_columns_take_under_half_a_second():
+    m = initial_state((-2, 3) * 100).matrix
+    reports = scan_differentials(m)
+    t0 = time.perf_counter()
+    counts = stencil_pair_counts(m, reports)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(counts) == len(reports) == 199
+
+
+def test_pair_counts_edge_cases():
+    m = initial_state((-2, 3, 3)).matrix
+    assert stencil_pair_counts(m, []) == []
+    m = initial_state((-1, 1, -1)).matrix     # a 1 x 1 minor
+    assert stencil_pair_counts(m, scan_differentials(m)) == [1]
+    columns = [Column("internal", BOT), Column("external", ("strip", 1))]
+    ones = dict.fromkeys(itertools.product((0, 1), repeat=2), Entry("L"))
+    m = ActivityMatrix(rows=[1, 2], columns=columns, entries=ones,
+                       signed=True)                 # det 0
+    report = StencilReport(rows=(1, 2), cols=(BOT, ("strip", 1)),
+                           stencil="Ld/D~d~")
+    with pytest.raises(ValueError, match="singular"):
+        stencil_pair_counts(m, [report])

@@ -1,4 +1,5 @@
-"""The slow spanning-tree routes that activities.tree_words is held to.
+"""The slow routes that activities.tree_words and
+evaluate.stencil_pair_counts are held to.
 
 The program reads every tree and word off one deletion-contraction search;
 these routes get them another way, for the tests alone:
@@ -11,11 +12,15 @@ these routes get them another way, for the tests alone:
 * activity_word: one tree's word by cut/cycle duality, rooting the tree
   and walking each non-tree edge up to its lowest common ancestor;
 * fundamental_sets and reference_word: the word from the definition, one
-  tree search per edge for its fundamental cut or cycle.
+  tree search per edge for its fundamental cut or cycle;
+* reference_pair_counts: each stencil's word-pair count as |det| of its
+  own minor, one elimination per report.
 """
 from collections import namedtuple
 
 from pretzeldimer.activities import BASE_LETTERS, token
+from pretzeldimer.laurent import Laurent
+from pretzeldimer.matrix import JONES_TABLE, ActivityMatrix, det_value
 
 
 def spanning_trees(g):
@@ -274,3 +279,32 @@ def reference_word(g, sets, ranks):
         letter = ("L" if live else "D") if in_tree else ("l" if live else "d")
         letters[e] = token(letter, g.edges[e].sign < 0)
     return tuple(letters[e] for e in sorted(g.edges, key=ranks.__getitem__))
+
+
+#: every letter -> 1, so a determinant over it counts signed permutations
+_ONES = dict.fromkeys(JONES_TABLE, Laurent.one())
+
+
+def reference_pair_counts(m, reports):
+    """|det| of each report's Kasteleyn-signed minor, the matrix without the
+    stencil's two rows and two columns, with every letter sent to 1; one
+    elimination (matrix.det_value) per report."""
+    ridx = {label: ri for ri, label in enumerate(m.rows)}
+    cidx = {c.region: ci for ci, c in enumerate(m.columns)}
+    counts = []
+    for report in reports:
+        drop_rows = {ridx[label] for label in report.rows}
+        drop_cols = {cidx[region] for region in report.cols}
+        keep_rows = [ri for ri in range(m.n) if ri not in drop_rows]
+        keep_cols = [ci for ci in range(len(m.columns)) if ci not in drop_cols]
+        rpos = {ri: i for i, ri in enumerate(keep_rows)}
+        cpos = {ci: i for i, ci in enumerate(keep_cols)}
+        minor = ActivityMatrix(
+            rows=[m.rows[ri] for ri in keep_rows],
+            columns=[m.columns[ci] for ci in keep_cols],
+            entries={(rpos[ri], cpos[ci]): e
+                     for (ri, ci), e in m.entries.items()
+                     if ri in rpos and ci in cpos},
+            signed=True)
+        counts.append(abs(det_value(minor, _ONES).at_one()))
+    return counts
