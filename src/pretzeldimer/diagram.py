@@ -128,6 +128,12 @@ def column_labels(sizes):
     return columns
 
 
+def join(arcs, p, q):
+    """Wire ports p and q to each other: one arc of the involution."""
+    arcs[p] = q
+    arcs[q] = p
+
+
 def build_diagram(spec):
     """Standard diagram of P(n1, ..., nk)."""
     spec = tuple(spec)
@@ -145,23 +151,18 @@ def build_diagram(spec):
             crossings[label] = Crossing(label, over, s)
 
     arcs = {}
-
-    def join(p, q):
-        arcs[p] = q
-        arcs[q] = p
-
     for col in columns:
         for a, b in zip(col, col[1:]):
-            join((a, "SW"), (b, "NW"))
-            join((a, "SE"), (b, "NE"))
+            join(arcs, (a, "SW"), (b, "NW"))
+            join(arcs, (a, "SE"), (b, "NE"))
     tops = [col[0] for col in columns]
     bots = [col[-1] for col in columns]
     for i in range(len(columns) - 1):
-        join((tops[i], "NE"), (tops[i + 1], "NW"))
-        join((bots[i], "SE"), (bots[i + 1], "SW"))
+        join(arcs, (tops[i], "NE"), (tops[i + 1], "NW"))
+        join(arcs, (bots[i], "SE"), (bots[i + 1], "SW"))
     outer_top = ((tops[0], "NW"), (tops[-1], "NE"))
-    join(*outer_top)
-    join((bots[0], "SW"), (bots[-1], "SE"))
+    join(arcs, *outer_top)
+    join(arcs, (bots[0], "SW"), (bots[-1], "SE"))
 
     return Diagram(crossings=crossings, arcs=arcs, outer_top_arc=outer_top)
 

@@ -47,7 +47,7 @@ import functools
 from collections import namedtuple
 
 from .activities import split_token, token
-from .diagram import Crossing, build_diagram, trace
+from .diagram import Crossing, build_diagram, join, trace
 from .laurent import writhe_factor
 from .matrix import (ENTRIES, JONES_TABLE, KHOVANOV_TABLE, Column, det_value,
                      enhance, signed_block_matrix, unsign)
@@ -97,11 +97,6 @@ def _twist_top(m):
         "(one D in an internal column, one d in an external column); "
         "row %d has %s" % (m.rows[ri],
                            [e.tok for _, e in ents] or "no entries"))
-
-
-def _join(arcs, p, q):
-    arcs[p] = q
-    arcs[q] = p
 
 
 def _remap_outer(diagram, mapping):
@@ -158,10 +153,10 @@ def _splice(state, how, sign=None):
 
     d = state.diagram
     a, b = d.arcs[(old, p)], d.arcs[(old, q)]
-    _join(d.arcs, a, (label, p))
-    _join(d.arcs, (label, p2), (old, p))
-    _join(d.arcs, b, (label, q))
-    _join(d.arcs, (label, q2), (old, q))
+    join(d.arcs, a, (label, p))
+    join(d.arcs, (label, p2), (old, p))
+    join(d.arcs, b, (label, q))
+    join(d.arcs, (label, q2), (old, q))
     _remap_outer(d, {(old, p): (label, p), (old, q): (label, q)})
 
     # the region the splice opened is the new column, the new crossing the
@@ -212,15 +207,15 @@ def _reidemeister1(state, kind, sign=1):
     label = _new_crossing(state, sign, over)
 
     if kind == "bridge":
-        _join(m.arcs, a1, (label, "SW"))
-        _join(m.arcs, (label, "NE"), (label, "NW"))
-        _join(m.arcs, (label, "SE"), a2)
+        join(m.arcs, a1, (label, "SW"))
+        join(m.arcs, (label, "NE"), (label, "NW"))
+        join(m.arcs, (label, "SE"), a2)
         m.outer_top_arc = (a1, (label, "SW"))
         colkind, letter = "internal", "L"
     else:
-        _join(m.arcs, a1, (label, "NW"))
-        _join(m.arcs, (label, "SW"), (label, "SE"))
-        _join(m.arcs, (label, "NE"), a2)
+        join(m.arcs, a1, (label, "NW"))
+        join(m.arcs, (label, "SW"), (label, "SE"))
+        join(m.arcs, (label, "NE"), a2)
         m.outer_top_arc = (a1, (label, "NW"))
         colkind, letter = "external", "l"
 

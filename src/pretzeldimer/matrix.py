@@ -46,7 +46,7 @@ build_graph_matrix takes a ranks mapping so that this can be demonstrated.
 
 import json
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from heapq import heappop, heappush
 
 from .activities import split_token, token
@@ -133,9 +133,10 @@ def signed_block_matrix(spec):
     bottom-deck column takes L at the bottom of column 1 and D at the
     bottom of every later column; strip column i takes l at the lowest
     label of twist columns i and i+1 and d at the rest of both.  The walk
-    also lists the overlay's bounded faces (build_overlay's, in its order)
-    as quads of (row index, column index) keys for kasteleyn_negatives; no
-    overlay is built.  The solver's tree follows the sorted keys, and the
+    also lists the overlay's bounded faces off the layout (the set that
+    build_overlay reads off the corner table by its local rule) as quads
+    of (row index, column index) keys for kasteleyn_negatives; no overlay
+    is built.  The solver's tree follows the sorted keys, and the
     sort is load-bearing: it gives exactly solve_kasteleyn's signs on every
     spec tests/test_matrix.py sweeps, while taking the edges in face order
     changes the signs on 3 840 of the 4 112 desk specs.
@@ -374,25 +375,21 @@ def _all_terms(m):
     return terms
 
 
-def expand(m, check_duplicates=True):
+def expand(m):
     """All nonzero permutation terms, in deterministic row-major order.
 
     Rows are processed top to bottom, candidate columns in ascending index
     order; branches a forced column rules out are cut, which on pretzel
-    matrices leaves about terms x n steps.  The matrix must be square.  The
-    slow route (see the module docstring); the invariants come from
-    det_value.
+    matrices leaves about terms x n steps.  The matrix must be square, and
+    two terms with one word raise ValueError.  The slow route (see the
+    module docstring); the invariants come from det_value.
     """
     if m.n == 0:
         return []
     terms = _all_terms(m)
-    if check_duplicates:
-        seen = {}
-        for t in terms:
-            seen[t.word] = seen.get(t.word, 0) + 1
-        dups = [w for w, c in seen.items() if c > 1]
-        if dups:
-            raise ValueError("duplicate expansion words: %r" % (dups[:3],))
+    dups = [w for w, c in Counter(t.word for t in terms).items() if c > 1]
+    if dups:
+        raise ValueError("duplicate expansion words: %r" % (dups[:3],))
     return terms
 
 
@@ -435,7 +432,8 @@ def word_sum(words, table):
         if len(val.coeffs) != 1:
             raise ValueError("word_sum needs monomial letters; %r is %s"
                              % (tok, val))
-    coeffs, decode, words = _lower(table, 0, words)
+    words = list(words)
+    coeffs, decode = _lower(table, max(map(len, words), default=0))
     exponent, coefficient = {}, {}
     for tok, val in coeffs.items():
         (exponent[tok], coefficient[tok]), = val.items()
@@ -580,24 +578,20 @@ def _eliminate(rows, n):
     return {e + shift: c * sign for e, c in cur.items()}
 
 
-def _lower(table, n, words=()):
-    """A letter table's values as raw one-variable coefficient dicts, the
-    decoder that makes a result dict a polynomial of the table's ring, and
-    the words again.
+def _lower(table, n):
+    """A letter table's values as raw one-variable coefficient dicts, and
+    the decoder that makes a result dict a polynomial of the table's ring.
 
-    A one-variable table is already raw, Laurent itself decodes, and the
-    words come back as given.  A two-variable one is Kronecker-substituted,
-    (u, v) -> x^(u + B v) with B = 2 U n + 1, where U bounds |u| over the
-    letters and n is raised to the longest word (so the words are read
-    once, and come back as a list): every product of at most n letters
+    A one-variable table is already raw, and Laurent itself decodes.  A
+    two-variable one is Kronecker-substituted, (u, v) -> x^(u + B v) with
+    B = 2 U n + 1, where U bounds |u| over the letters and n bounds the
+    number of letters in a product: every product of at most n letters
     then has |u| <= U n < B / 2, so each monomial of the result decodes to
     exactly one (u, v).
     """
     coeffs = {tok: val.coeffs for tok, val in table.items()}
     if type(next(iter(table.values()))) is not Laurent2:
-        return coeffs, Laurent, words
-    words = list(words)
-    n = max(n, max(map(len, words), default=0))
+        return coeffs, Laurent
     bound = n * max((abs(u) for p in coeffs.values() for u, _ in p),
                     default=0)
     base = 2 * bound + 1
@@ -611,7 +605,7 @@ def _lower(table, n, words=()):
             out[(e - base * v, v)] = c
         return Laurent2(out)
 
-    return flat, decode, words
+    return flat, decode
 
 
 def det_value(m, table):
@@ -628,7 +622,7 @@ def det_value(m, table):
     Kronecker substitution.  A non-square matrix raises ValueError.
     """
     _require_square(m)
-    coeffs, decode, _ = _lower(table, m.n)
+    coeffs, decode = _lower(table, m.n)
     rows = [{} for _ in range(m.n)]
     for (ri, ci), e in m.entries.items():
         val = coeffs[e.tok]

@@ -16,6 +16,10 @@ corners are black and the east/west corners are white.
   the other.  Its bounded faces are quadrilaterals, one per arc not
   touching a deleted region, and a Kasteleyn edge signing makes signed
   perfect-matching counts honest determinants.
+* Everything is read off one table, corner_regions, plus each column's
+  sign.  The faces come from one local rule: two crossings that both hold
+  a black region and a white one at adjacent corners (N or S beside W or
+  E) are the two ends of the arc those regions flank.
 """
 
 from collections import namedtuple
@@ -75,8 +79,7 @@ class TaitEdge(namedtuple("TaitEdge", "label u v sign")):
     __slots__ = ()
 
 
-class TaitGraph(namedtuple("TaitGraph", "vertices edges corners is_dual",
-                           defaults=(False,))):
+class TaitGraph(namedtuple("TaitGraph", "vertices edges corners")):
     """Regions as vertices, edges label -> TaitEdge, and corners
     label -> {"N","S","W","E"} -> region."""
     __slots__ = ()
@@ -90,21 +93,29 @@ class TaitGraph(namedtuple("TaitGraph", "vertices edges corners is_dual",
         return e.u, e.v
 
 
+def _column_signs(spec):
+    """label -> the sign of its twist column: the one piece of the layout
+    the graphs read besides the corner table."""
+    return {label: 1 if v > 0 else -1
+            for labels, v in zip(column_labels(map(abs, spec)), spec)
+            for label in labels}
+
+
+def _bigons(corners):
+    """The bigons, sorted: every black region but the decks lies south of
+    some crossing."""
+    return sorted({cc["S"] for cc in corners.values()} - {BOT})
+
+
 def build_tait(spec):
     """Signed Tait graph on the black regions (one edge per crossing)."""
     spec = tuple(spec)
     corners = corner_regions(spec)
-    vertices = [TOP, BOT]
-    for ci, v in enumerate(spec, start=1):
-        for p in range(1, abs(v)):
-            vertices.append(bigon(ci, p))
-    edges = {}
-    for labels, v in zip(column_labels(map(abs, spec)), spec):
-        s = 1 if v > 0 else -1
-        for label in labels:
-            edges[label] = TaitEdge(label, corners[label]["N"],
-                                    corners[label]["S"], s)
-    return TaitGraph(vertices=vertices, edges=edges, corners=corners)
+    signs = _column_signs(spec)
+    edges = {label: TaitEdge(label, cc["N"], cc["S"], signs[label])
+             for label, cc in corners.items()}
+    return TaitGraph(vertices=[TOP, BOT] + _bigons(corners), edges=edges,
+                     corners=corners)
 
 
 def dual_graph(g):
@@ -114,19 +125,14 @@ def dual_graph(g):
     in W/E, so dualizing just swaps the two pairs; applying dual_graph
     twice returns the original graph exactly.
     """
-    seen = []
-    for label in sorted(g.corners):
-        for c in ("W", "E"):
-            r = g.corners[label][c]
-            if r not in seen:
-                seen.append(r)
+    seen = list(dict.fromkeys(g.corners[label][c]
+                              for label in sorted(g.corners) for c in "WE"))
     edges = {label: TaitEdge(label, g.corners[label]["W"],
                              g.corners[label]["E"], -g.edges[label].sign)
              for label in g.edges}
     corners = {label: {"N": cc["W"], "S": cc["E"], "W": cc["N"], "E": cc["S"]}
                for label, cc in g.corners.items()}
-    return TaitGraph(vertices=seen, edges=edges, corners=corners,
-                     is_dual=not g.is_dual)
+    return TaitGraph(vertices=seen, edges=edges, corners=corners)
 
 
 class Overlay(namedtuple("Overlay", "crossings set2 set3 edges corners "
@@ -142,51 +148,34 @@ class Overlay(namedtuple("Overlay", "crossings set2 set3 edges corners "
 
 
 def build_overlay(spec):
+    """The overlay read off the corner table, faces by the local rule.
+
+    The strand end between two adjacent corners of a crossing starts an
+    arc flanked by those corners' regions, one black (N or S) and one
+    white (W or E); the crossing at its other end holds the same pair at
+    adjacent corners.  So each surviving pair is held by exactly two
+    crossings, and the edges joining them to the pair bound one quad.
+    """
     spec = tuple(spec)
-    k = len(spec)
     corners = corner_regions(spec)
-    layout = column_labels(map(abs, spec))
     crossings = sorted(corners)
-
-    set2 = [BOT]
-    for ci, v in enumerate(spec, start=1):
-        for p in range(1, abs(v)):
-            set2.append(bigon(ci, p))
-    set3 = [strip(i) for i in range(1, k)]
-
-    edges = []
+    edges, flanked = [], {}
     for label in crossings:
-        for c in "NSWE":
-            r = corners[label][c]
-            if r not in (TOP, OUT):
+        cc = corners[label]
+        n, s, w, e = cc["N"], cc["S"], cc["W"], cc["E"]
+        for r in (n, s, w, e):
+            if r != TOP and r != OUT:
                 edges.append((label, r))
-
-    # bounded faces: one quadrilateral per arc whose two flanking regions
-    # both survive the deletion
-    faces = []
-
-    def quad(c1, c2, r1, r2):
-        faces.append([(c1, r1), (c2, r1), (c2, r2), (c1, r2)])
-
-    for ci, labels in enumerate(layout, start=1):
-        for p in range(1, len(labels)):
-            a, b = labels[p - 1], labels[p]
-            if ci >= 2:                      # west side arc of the bigon
-                quad(a, b, bigon(ci, p), strip(ci - 1))
-            if ci <= k - 1:                  # east side arc
-                quad(a, b, bigon(ci, p), strip(ci))
-    bots = [labels[-1] for labels in layout]
-    for i in range(1, k):                    # bottom band arcs
-        quad(bots[i - 1], bots[i], BOT, strip(i))
-
-    signs = {}
-    for labels, v in zip(layout, spec):
-        for label in labels:
-            signs[label] = 1 if v > 0 else -1
-
-    ov = Overlay(crossings=crossings, set2=set2, set3=set3,
-                 edges=edges, corners=corners, crossing_signs=signs,
-                 faces=faces)
+        for black, white in ((n, w), (n, e), (s, w), (s, e)):
+            if black != TOP and white != OUT:
+                flanked.setdefault((black, white), []).append(label)
+    faces = [[(a, b), (c, b), (c, w), (a, w)]
+             for (b, w), (a, c) in flanked.items()]
+    # every strip lies east of some crossing, as does OUT
+    ov = Overlay(crossings=crossings, set2=[BOT] + _bigons(corners),
+                 set3=sorted({cc["E"] for cc in corners.values()} - {OUT}),
+                 edges=edges, corners=corners,
+                 crossing_signs=_column_signs(spec), faces=faces)
     assert len(ov.crossings) == len(ov.set2) + len(ov.set3)
     return ov
 

@@ -10,6 +10,9 @@
   overlay: one walk gives the letters and the faces, and one face solve
   the signs.
 * ``verify`` checks the Kasteleyn signs of the matrix it evaluates.
+* ``build_overlay`` reads its regions and faces off the corner table: it
+  builds no layout region itself, so verify's face check compares the
+  block walk's faces with an independent construction.
 * The writhe factor has one production site, the Jones route of a state,
   besides the spanning-tree oracle's own.
 * Every top-level function and class in src/ has a reader: src/ itself,
@@ -165,10 +168,13 @@ def test_bracket_of_a_link_eliminates_once_and_never_traces(monkeypatch):
     assert counts["trace"] == 0
 
 
-def test_khovanov_json_eliminates_once_and_traces_once(monkeypatch):
-    # the text form also counts each stencil's pairs by a minor's det
-    code, counts = count_calls(monkeypatch,
-                               ["khovanov", "--json", "P(-2,3,7)"])
+@pytest.mark.parametrize("argv", [["khovanov", "--json", "P(-2,3,7)"],
+                                  ["khovanov", "P(-2,3,7)"]],
+                         ids=["json", "text"])
+def test_khovanov_eliminates_once_and_traces_once(monkeypatch, argv):
+    # the text form's stencil pair counts come from one integer
+    # elimination of their own, not from det_value
+    code, counts = count_calls(monkeypatch, argv)
     assert code == 0
     assert counts["det_value"] == 1           # Table 2
     assert counts["trace"] == 1               # the knot check
@@ -213,6 +219,13 @@ def _callers(name):
     for path in sorted((ROOT / "src" / "pretzeldimer").glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
     return found
+
+
+@pytest.mark.parametrize("name", ["bigon", "strip"])
+def test_overlay_reads_regions_off_the_corner_table(name):
+    # build_overlay takes its regions and faces from corner_regions by a
+    # local rule; it does not walk the column layout a second time
+    assert ("taitgraphs", "build_overlay") not in _callers(name)
 
 
 def test_one_site_applies_the_writhe_factor():

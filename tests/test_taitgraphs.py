@@ -70,7 +70,6 @@ def test_dual_of_dual_round_trip(spec):
     assert set(gg.vertices) == set(g.vertices)
     assert gg.corners == g.corners
     assert gg.edges == g.edges
-    assert gg.is_dual == g.is_dual
 
 
 def overlay_euler_data(ov):
