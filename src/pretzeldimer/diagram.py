@@ -19,13 +19,13 @@ from collections import namedtuple
 
 CORNERS = ("NW", "NE", "SW", "SE")
 
-#: most crossings a spec may have; a state takes ~2 KB each (README)
+#: most crossings a spec may have; a state peaks at ~1.4 KB each (README)
 MAX_CROSSINGS = 10 ** 6
 
-# passing through a crossing continues along the same diagonal
-PASS = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
-
-_COORD = {"NW": (-1, 1), "NE": (1, 1), "SW": (-1, -1), "SE": (1, -1)}
+#: entry corner -> (exit corner, diagonal, way): a strand keeps to its
+#: diagonal, 0 "/" or 1 "\\", heading east (way +1) or west (way -1)
+_PASSAGE = {"SW": ("NE", 0, 1), "NE": ("SW", 0, -1),
+            "NW": ("SE", 1, 1), "SE": ("NW", 1, -1)}
 
 
 class Crossing:
@@ -116,8 +116,8 @@ def column_labels(sizes):
 
     sizes lists the number of crossings per column.  Column 1 is numbered
     top-down from 1; every later column is numbered bottom-up, continuing
-    the count.  The diagram, the checkerboard graphs and the block matrix
-    all read their labels from here.
+    the count.  The diagram and the checkerboard graphs read their labels
+    from here; the block matrix walks the same numbering as runs of rows.
     """
     columns = []
     offset = 0
@@ -181,43 +181,43 @@ def trace(diagram, seed=None):
     later components start at the lowest-numbered unvisited port.  For a
     knot the crossing signs are independent of these choices, which tests
     assert by re-tracing from every port.
+
+    Each step reads its exit corner, diagonal and heading off _PASSAGE; a
+    port is visited once its diagonal is.  Both strands heading east make
+    a negative crossing when "/" is over; each reversal flips the sign.
     """
-    unvisited = set(diagram.ports())
-    passages = {}   # label -> {diagonal: direction vector}
-    components = 0
-    while unvisited:
-        if components == 0 and seed is not None:
-            entry = seed
-            if entry not in unvisited:
-                raise ValueError("seed %r is not a port of this diagram" % (seed,))
-        elif components == 0 and (1, "NW") in unvisited:
-            entry = (1, "NW")
-        else:
-            entry = min(unvisited, key=lambda p: (p[0], CORNERS.index(p[1])))
+    crossings, arcs = diagram.crossings, diagram.arcs
+    labels = sorted(crossings)
+    # each diagonal's heading by label, 0 while untravelled
+    slash, back = ways = dict.fromkeys(labels, 0), dict.fromkeys(labels, 0)
+    if seed is not None and labels and seed not in arcs:
+        raise ValueError("seed %r is not a port of this diagram" % (seed,))
+    entry = (1, "NW") if seed is None else seed
+    components, i = 0, 0
+    while True:
+        if components or entry not in arcs:
+            # the lowest port on a diagonal still untravelled
+            while i < len(labels) and slash[labels[i]] and back[labels[i]]:
+                i += 1
+            if i == len(labels):
+                break
+            entry = (labels[i], "NE" if back[labels[i]] else "NW")
         components += 1
         start = entry
         while True:
             label, corner = entry
-            exit_corner = PASS[corner]
-            diag = "/" if {corner, exit_corner} == {"SW", "NE"} else "\\"
-            px, py = _COORD[corner]
-            qx, qy = _COORD[exit_corner]
-            passages.setdefault(label, {})[diag] = ((qx - px) // 2, (qy - py) // 2)
-            exitp = (label, exit_corner)
-            unvisited.discard(entry)
-            unvisited.discard(exitp)
-            entry = diagram.arcs[exitp]
+            exit_corner, diag, way = _PASSAGE[corner]
+            ways[diag][label] = way
+            entry = arcs[label, exit_corner]
             if entry == start:
                 break
 
     signs = {}
-    for label, cr in diagram.crossings.items():
-        dirs = passages[label]
-        if set(dirs) != {"/", "\\"}:
+    for label, cr in crossings.items():
+        way = slash[label] * back[label]
+        if not way:
             raise RuntimeError("crossing %d not traversed on both diagonals" % label)
-        ox, oy = dirs[cr.over]
-        ux, uy = dirs["/" if cr.over == "\\" else "\\"]
-        signs[label] = (ox * uy - oy * ux) // 2
+        signs[label] = way if cr.over == "\\" else -way
 
     return Trace(components=components, signs=signs,
                  writhe=sum(signs.values()))

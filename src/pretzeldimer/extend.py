@@ -45,6 +45,7 @@ surgery happens.
 """
 import functools
 from collections import namedtuple
+from itertools import takewhile
 
 from .activities import split_token, token
 from .diagram import Crossing, build_diagram, join, trace
@@ -80,10 +81,17 @@ def _twist_top(m):
     or raise.
 
     This is the shape every twist-column top has, and the shape the two
-    edge extensions preserve; kinks and one-column pretzels break it.
+    edge extensions preserve; kinks and one-column pretzels break it.  A
+    move's row has all its entries last in the dict, inserted by the move;
+    only a pretzel's row is looked up column by column, once per chain.
     """
     ri = m.n - 1
-    ents = m.row_entries(ri)
+    if m.columns[-1].region == ("grown", m.rows[ri]):
+        tail = takewhile(lambda key: key[0] == ri, reversed(m.entries))
+        cols = sorted(ci for _, ci in tail)
+    else:
+        cols = [ci for ci in range(len(m.columns)) if (ri, ci) in m.entries]
+    ents = [(ci, m.entries[ri, ci]) for ci in cols]
     if len(ents) == 2:
         byletter = {}
         for ci, e in ents:

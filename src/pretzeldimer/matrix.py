@@ -48,9 +48,10 @@ import json
 import math
 from collections import Counter, namedtuple
 from heapq import heappop, heappush
+from itertools import accumulate
 
 from .activities import split_token, token
-from .diagram import column_labels, trace
+from .diagram import trace
 from .laurent import Laurent, Laurent2, _div, _mul
 from .taitgraphs import BOT, bigon, kasteleyn_negatives, region_name, strip
 
@@ -104,11 +105,6 @@ class ActivityMatrix:
             row_weights=dict(self.row_weights) if self.row_weights else None,
         )
 
-    def row_entries(self, ri):
-        get = self.entries.get
-        return [(ci, e) for ci in range(len(self.columns))
-                if (e := get((ri, ci))) is not None]
-
     def by_region(self):
         """(row label, column region) -> (letter, barred); order-free view."""
         out = {}
@@ -127,56 +123,67 @@ _UNSIGNED = {barred: {x: ENTRIES[token(x, barred), 1] for x in "LDld"}
 def signed_block_matrix(spec):
     """Kasteleyn-signed activity matrix in one walk over the labels.
 
-    Rows follow the diagram's labels (diagram.column_labels).  Each twist
-    column contributes one internal column per bigon, L at the lower of its
-    two crossings and D at the higher, ordered by the lower label; the
-    bottom-deck column takes L at the bottom of column 1 and D at the
+    Rows follow the diagram's labels (diagram.column_labels), so row r holds
+    label r + 1 and each twist column's labels are one run of rows.  Each
+    twist column contributes one internal column per bigon, L at the lower
+    of its two crossings and D at the higher, ordered by the lower label;
+    the bottom-deck column takes L at the bottom of column 1 and D at the
     bottom of every later column; strip column i takes l at the lowest
     label of twist columns i and i+1 and d at the rest of both.  The walk
     also lists the overlay's bounded faces off the layout (the set that
     build_overlay reads off the corner table by its local rule) as quads
-    of (row index, column index) keys for kasteleyn_negatives; no overlay
-    is built.  The solver's tree follows the sorted keys, and the
-    sort is load-bearing: it gives exactly solve_kasteleyn's signs on every
-    spec tests/test_matrix.py sweeps, while taking the edges in face order
-    changes the signs on 3 840 of the 4 112 desk specs.
+    of edge keys row * n + column, which sort as the (row, column) pairs
+    do, for kasteleyn_negatives; no overlay is built.  The solver's tree
+    follows the sorted keys, and the sort is load-bearing: it gives exactly
+    solve_kasteleyn's signs on every spec tests/test_matrix.py sweeps,
+    while taking the edges in face order changes the signs on 3 840 of the
+    4 112 desk specs.
     """
     spec = tuple(spec)
     k = len(spec)
-    layout = column_labels(map(abs, spec))
-    bot = sum(map(len, layout)) - k    # after the bigons; strip i is bot + i
-    letters = {label: _UNSIGNED[v < 0] for labels, v in zip(layout, spec)
-               for label in labels}
+    starts = [0, *accumulate(map(abs, spec))]   # each column's lowest row
+    n = starts[-1]
+    bot = n - k                # after the bigons; strip i is bot + i
+    letters = [_UNSIGNED[v < 0] for v in spec]
     columns, entries, faces = [], {}, []
-
-    def add(kind, region, cells):
-        col = len(columns)
-        columns.append(Column(kind, region))
-        for label, letter in cells:
-            entries[(label - 1, col)] = letters[label][letter]
-        return col
-
-    def quad(a, b, c1, c2):
-        return (a - 1, c1), (b - 1, c1), (b - 1, c2), (a - 1, c2)
-
-    for ci, labels in enumerate(layout, start=1):
-        arcs = list(enumerate(zip(labels, labels[1:]), 1))
-        # by lower label: top-down in column 1, bottom-up in the others
-        col = {p: add("internal", bigon(ci, p),
-                      ((min(ab), "L"), (max(ab), "D")))
-               for p, ab in (arcs if ci == 1 else reversed(arcs))}
-        faces += [quad(a, b, col[p], bot + i)       # west and east arcs
-                  for p, (a, b) in arcs for i in (ci - 1, ci) if 0 < i < k]
-    bots = [labels[-1] for labels in layout]
-    add("internal", BOT, [(bots[0], "L")] + [(b, "D") for b in bots[1:]])
+    for ci, v in enumerate(spec, start=1):
+        m, low, d = abs(v), starts[ci - 1], ci - 1
+        live, dead = letters[d]["L"], letters[d]["D"]
+        # by lower label: top-down in column 1, bottom-up in the others;
+        # the bigon above row r + 1 is column r - d
+        columns += [Column("internal", bigon(ci, p)) for p in
+                    (range(1, m) if ci == 1 else range(m - 1, 0, -1))]
+        rows = range(low, low + m - 1)
+        for r in rows:
+            c = r - d
+            entries[r, c] = live
+            entries[r + 1, c] = dead
+        # each bigon's west and east arcs bound one quad with the strip
+        # beside it, where there is one
+        for s in (bot + i for i in (d, ci) if 0 < i < k):
+            faces += [(r * n + r - d, (r + 1) * n + r - d, (r + 1) * n + s,
+                       r * n + s) for r in rows]
+    bots = [starts[1] - 1] + starts[1:-1]     # column 1 runs top-down
+    columns.append(Column("internal", BOT))
+    entries.update(((b, bot), letters[i]["D" if i else "L"])
+                   for i, b in enumerate(bots))
     for i in range(1, k):
-        live, *dead = sorted(layout[i - 1] + layout[i])
-        add("external", strip(i), [(live, "l")] + [(d, "d") for d in dead])
-        faces.append(quad(bots[i - 1], bots[i], bot, bot + i))  # bottom band
-    assert len(columns) == len(letters)
+        c = bot + i
+        columns.append(Column("external", strip(i)))
+        low, mid, high = starts[i - 1:i + 2]
+        west, east = letters[i - 1]["d"], letters[i]["d"]
+        entries[low, c] = letters[i - 1]["l"]
+        for r in range(low + 1, mid):
+            entries[r, c] = west
+        for r in range(mid, high):
+            entries[r, c] = east
+        x, y = bots[i - 1] * n, bots[i] * n         # the bottom band
+        faces.append((x + bot, y + bot, y + c, x + c))
+    assert len(columns) == n
     for key in kasteleyn_negatives(faces):
+        key = divmod(key, n)
         entries[key] = ENTRIES[entries[key].tok, -1]
-    return ActivityMatrix(rows=list(range(1, len(letters) + 1)),
+    return ActivityMatrix(rows=list(range(1, n + 1)),
                           columns=columns, entries=entries, signed=True)
 
 

@@ -183,44 +183,49 @@ def build_overlay(spec):
 def kasteleyn_negatives(faces):
     """The face edges (any sortable keys) a Kasteleyn signing makes negative.
 
-    Every edge not chosen as a link of a breadth-first spanning tree of the
-    face-adjacency graph, edges taken in sorted order, gets +1; then each
+    Each edge lies on one or two of the faces; the rest of the plane is the
+    unbounded face.  Every edge not chosen as a link of a breadth-first
+    spanning tree of the face-adjacency graph, rooted at the unbounded face
+    and crossing each face's edges in sorted order, gets +1; then each
     bounded face is solved leaf-to-root for its single remaining unknown so
     that the face parity rule holds (a face of length l needs an odd number
-    of negative edges iff l = 0 mod 4).
+    of negative edges iff l = 0 mod 4).  Only the keys' order matters, so
+    an order-preserving re-keying maps the set likewise; integer keys, as
+    signed_block_matrix passes, sort and hash fastest.
     """
-    by_edge = {}
+    # an edge's first face, and its second for the edges two faces share
+    first, second = {}, {}
     for fi, f in enumerate(faces):
         for e in f:
-            by_edge.setdefault(e, []).append(fi)
+            if first.setdefault(e, fi) != fi:
+                second[e] = fi
 
-    # face adjacency; the unbounded face, index -1 (the last slot), is root
-    adj = [[] for _ in range(len(faces) + 1)]
-    for e in sorted(by_edge):
-        fs = by_edge[e]
-        if len(fs) == 2:
-            adj[fs[0]].append((fs[1], e))
-            adj[fs[1]].append((fs[0], e))
-        else:
-            adj[-1].append((fs[0], e))
-            adj[fs[0]].append((-1, e))
-
-    parent_link = [None] * len(faces) + [-1]
-    order = [-1]
+    # breadth-first from the unbounded face, the last slot, whose edges lie
+    # on one face only; each face keeps its link and the face it joins
+    root = len(faces)
+    link, up = [None] * root + [-1], [root] * (root + 1)
+    order = [root]
     for node in order:                   # the list grows as the BFS queue
-        for nxt, e in adj[node]:
-            if parent_link[nxt] is None:
-                parent_link[nxt] = e
+        edges = faces[node] if node < root else (
+            e for e in first if e not in second)
+        for e in sorted(edges):
+            nxt = first[e]
+            if nxt == node:
+                nxt = second.get(e, root)
+            if link[nxt] is None:
+                link[nxt], up[nxt] = e, node
                 order.append(nxt)
-    if len(order) != len(faces) + 1:
+    if len(order) != root + 1:
         raise RuntimeError("face-adjacency graph is not connected")
 
-    # children before parents; a face's unknown is not negative yet
+    # children before parents: a face's own link is its one unknown, and
+    # its negative edges so far are its children's, kept as one parity bit
+    odd = [False] * (root + 1)
     negative = set()
     for fi in reversed(order[1:]):
-        f = faces[fi]
-        if (len(negative.intersection(f)) % 2 == 0) == (len(f) % 4 == 0):
-            negative.add(parent_link[fi])
+        if odd[fi] != (len(faces[fi]) % 4 == 0):
+            negative.add(link[fi])
+            odd[up[fi]] = not odd[up[fi]]
     return negative
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from paper_tables import desk_sweep
+from tree_reference import reference_trace
 
 from pretzeldimer.diagram import (
     CORNERS,
@@ -128,24 +129,50 @@ def reference_arc_list(d):
     return out
 
 
-def test_arc_list_matches_the_frozenset_construction():
-    diagrams = [build_diagram(spec) for spec in desk_sweep()]
-    rng = random.Random(1729)
+def seeded_grown_diagrams(seed, count):
+    """count diagrams grown from desk specs by seeded move chains that use
+    every name in extend.MOVES."""
+    rng = random.Random(seed)
     specs = desk_sweep(8)
     names = sorted(MOVES)
     used = set()
-    grown = 0
-    while grown < 300:
+    grown = []
+    while len(grown) < count:
         chain = [rng.choice(names) for _ in range(rng.randint(1, 4))]
         try:
-            diagrams.append(apply_moves(initial_state(rng.choice(specs)),
-                                        chain).diagram)
+            grown.append(apply_moves(initial_state(rng.choice(specs)),
+                                     chain).diagram)
         except ValueError:            # edge extension after a kink
             continue
         used.update(chain)
-        grown += 1
     assert used == set(MOVES)
-    for d in diagrams:
+    return grown
+
+
+def test_arc_list_matches_the_frozenset_construction():
+    diagrams = [build_diagram(spec) for spec in desk_sweep()]
+    for d in diagrams + seeded_grown_diagrams(1729, 300):
         got = d.arc_list()
         assert len(set(got)) == len(got) == len(d.arcs) // 2
         assert set(got) == set(reference_arc_list(d))
+
+
+def test_trace_matches_reference():
+    diagrams = [build_diagram(spec) for spec in desk_sweep()]
+    for d in diagrams + seeded_grown_diagrams(1618, 300):
+        assert trace(d) == reference_trace(d)
+
+
+@pytest.mark.parametrize("spec", [(-2, 3, 7), (2, 2), (1, 1, 1)])
+def test_trace_matches_reference_from_every_seed(spec):
+    d = build_diagram(spec)
+    for port in d.ports():
+        assert trace(d, seed=port) == reference_trace(d, seed=port)
+
+
+@pytest.mark.parametrize("seed", [(0, "NW"), (1, "N"), (1, "NW", 0), 1])
+def test_trace_refuses_a_seed_off_the_diagram(seed):
+    d = build_diagram((1, 1, 1))
+    for route in (trace, reference_trace):
+        with pytest.raises(ValueError, match="not a port"):
+            route(d, seed=seed)

@@ -37,6 +37,11 @@ def assert_fresh_diagram(grown, target):
     assert grown.diagram.crossings == fresh.crossings
 
 
+def row_tokens(m, ri):
+    """Tokens of row ri, in column order."""
+    return [e.tok for (r, _), e in sorted(m.entries.items()) if r == ri]
+
+
 def sign_split_is_constant(m):
     return len({t.parity * t.ksign for t in expand(m)}) == 1
 
@@ -142,9 +147,9 @@ def test_r1_writhe_delta(kind, sign, delta):
 
 def test_r1_adds_single_letter_row():
     st = reidemeister1(initial_state((1, 1, 1)), "bridge", -1)
-    assert [e.tok for _, e in st.matrix.row_entries(st.n - 1)] == ["L~"]
+    assert row_tokens(st.matrix, st.n - 1) == ["L~"]
     st = reidemeister1(initial_state((1, 1, 1)), "loop", 1)
-    assert [e.tok for _, e in st.matrix.row_entries(st.n - 1)] == ["l"]
+    assert row_tokens(st.matrix, st.n - 1) == ["l"]
     assert st.matrix.columns[-1].kind == "external"
 
 
@@ -243,6 +248,42 @@ def test_edge_extensions_need_a_twist_top():
         subdivide(kinked)
     with pytest.raises(ValueError, match="twist top"):
         reidemeister2(kinked, "parallel")
+
+
+class ProbeCounter(dict):
+    """An entries dict that counts its key lookups."""
+    probes = 0
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def test_a_long_subdivide_chain_probes_each_row_a_few_times():
+    # the moves find the twist top without a lookup per column, so a chain
+    # costs a few lookups a move, not one per column of the grown matrix
+    st = initial_state((-2, 3, 11))
+    st.matrix.entries = counted = ProbeCounter(st.matrix.entries)
+    for _ in range(4000):
+        MOVES["subdivide"](st)
+    assert st.n == 4016
+    assert counted.probes <= 16 + 4 * 4000
+
+
+def test_edge_extension_refusal_names_the_row():
+    kinked = reidemeister1(initial_state((1, 1, 3)), "loop", 1)
+    with pytest.raises(ValueError, match=r"row 6 has \['l'\]$"):
+        subdivide(kinked)
+    with pytest.raises(ValueError, match=r"row 3 has \['D', 'L'\]$"):
+        subdivide(initial_state((3,)))
 
 
 def test_bad_move_arguments():

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from paper_tables import desk_sweep
 
+from pretzeldimer import matrix
 from pretzeldimer.taitgraphs import (
     BOT,
     OUT,
@@ -10,6 +12,7 @@ from pretzeldimer.taitgraphs import (
     build_overlay,
     build_tait,
     dual_graph,
+    kasteleyn_negatives,
     overlay_to_dot,
     solve_kasteleyn,
     strip,
@@ -169,6 +172,28 @@ def test_parity_survives_edge_deletion():
         for e in edges[:10]:
             faces = delete_edge_from_faces(faces, e)
             assert verify_kasteleyn(faces, signs)
+
+
+def test_solver_commutes_with_order_preserving_keys(monkeypatch):
+    # the walk's integer keys row * n + column, re-keyed three ways that
+    # keep their order: the (row, column) pairs, shifted integers and
+    # zero-padded strings
+    calls = []
+
+    def recorded(faces):
+        negative = kasteleyn_negatives(faces)
+        calls.append((faces, negative))
+        return negative
+
+    monkeypatch.setattr(matrix, "kasteleyn_negatives", recorded)
+    for spec in desk_sweep():
+        n = sum(map(abs, spec))
+        matrix.signed_block_matrix(spec)
+        faces, negative = calls.pop()
+        for key in (lambda e: divmod(e, n), lambda e: 3 * e - 7,
+                    lambda e: "%09d" % e):
+            mapped = [[key(e) for e in f] for f in faces]
+            assert kasteleyn_negatives(mapped) == set(map(key, negative))
 
 
 def test_dot_exports():

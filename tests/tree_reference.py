@@ -1,5 +1,5 @@
-"""The slow routes that activities.tree_words and
-evaluate.stencil_pair_counts are held to.
+"""The slow routes that activities.tree_words,
+evaluate.stencil_pair_counts and diagram.trace are held to.
 
 The program reads every tree and word off one deletion-contraction search;
 these routes get them another way, for the tests alone:
@@ -14,11 +14,16 @@ these routes get them another way, for the tests alone:
 * fundamental_sets and reference_word: the word from the definition, one
   tree search per edge for its fundamental cut or cycle;
 * reference_pair_counts: each stencil's word-pair count as |det| of its
-  own minor, one elimination per report.
+  own minor, one elimination per report;
+* reference_trace: orientation, crossing signs and writhe by walking the
+  strands with a set of every unvisited port, the next component starting
+  at its minimum, and each crossing's sign as the cross product of its two
+  strands' heading vectors.
 """
 from collections import namedtuple
 
 from pretzeldimer.activities import BASE_LETTERS, token
+from pretzeldimer.diagram import CORNERS, Trace
 from pretzeldimer.laurent import Laurent
 from pretzeldimer.matrix import JONES_TABLE, ActivityMatrix, det_value
 
@@ -308,3 +313,56 @@ def reference_pair_counts(m, reports):
             signed=True)
         counts.append(abs(det_value(minor, _ONES).at_one()))
     return counts
+
+
+# passing through a crossing continues along the same diagonal
+_PASS = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
+
+_COORD = {"NW": (-1, 1), "NE": (1, 1), "SW": (-1, -1), "SE": (1, -1)}
+
+
+def reference_trace(diagram, seed=None):
+    """diagram.trace by coordinates: the same seed rules and errors.
+
+    The first component is seeded entering crossing 1 at its NW port (or
+    at seed); later components start at the lowest-numbered unvisited port.
+    """
+    unvisited = set(diagram.ports())
+    passages = {}   # label -> {diagonal: direction vector}
+    components = 0
+    while unvisited:
+        if components == 0 and seed is not None:
+            entry = seed
+            if entry not in unvisited:
+                raise ValueError("seed %r is not a port of this diagram" % (seed,))
+        elif components == 0 and (1, "NW") in unvisited:
+            entry = (1, "NW")
+        else:
+            entry = min(unvisited, key=lambda p: (p[0], CORNERS.index(p[1])))
+        components += 1
+        start = entry
+        while True:
+            label, corner = entry
+            exit_corner = _PASS[corner]
+            diag = "/" if {corner, exit_corner} == {"SW", "NE"} else "\\"
+            px, py = _COORD[corner]
+            qx, qy = _COORD[exit_corner]
+            passages.setdefault(label, {})[diag] = ((qx - px) // 2, (qy - py) // 2)
+            exitp = (label, exit_corner)
+            unvisited.discard(entry)
+            unvisited.discard(exitp)
+            entry = diagram.arcs[exitp]
+            if entry == start:
+                break
+
+    signs = {}
+    for label, cr in diagram.crossings.items():
+        dirs = passages[label]
+        if set(dirs) != {"/", "\\"}:
+            raise RuntimeError("crossing %d not traversed on both diagonals" % label)
+        ox, oy = dirs[cr.over]
+        ux, uy = dirs["/" if cr.over == "\\" else "\\"]
+        signs[label] = (ox * uy - oy * ux) // 2
+
+    return Trace(components=components, signs=signs,
+                 writhe=sum(signs.values()))
