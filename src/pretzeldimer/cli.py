@@ -17,14 +17,24 @@ reports for a tool cut off that way).
 
 ``--extend`` grows the object before evaluation and may be repeated; moves
 apply left to right.
+
+The grammar is declared once, in COMMANDS.  main reads argv straight off
+that table when it has the plain shape: a command name, then only that
+command's exact long flags (a valued flag followed by one of its choices)
+and one spec.  Any other argv (-h, an abbreviation, --flag=value, --, an
+unknown or foreign flag, a bad choice, no spec or two) goes to an argparse
+parser built from the same table, so help, usage errors and their exit
+codes are argparse's own, and a well-formed call never imports argparse.
+The table reader appends --extend moves in place, linear in the chain,
+where argparse copies the list at every append.
 """
-import argparse
 import functools
 import json
 import math
 import os
 import re
 import sys
+import types
 
 from .activities import tree_words
 from .diagram import parse_spec, trace
@@ -36,8 +46,8 @@ from .matrix import (JONES_TABLE, build_graph_matrix, dump_json, expand,
                      pretty, word_sum)
 from .oracle import state_sum_bracket
 from .taitgraphs import (build_overlay, build_tait, dual_graph,
-                         overlay_to_dot, solve_kasteleyn, tait_to_dot,
-                         verify_kasteleyn)
+                         overlay_to_dot, solve_kasteleyn, tait_graph,
+                         tait_to_dot, verify_kasteleyn)
 
 
 def _spec_label(spec):
@@ -131,8 +141,8 @@ def cmd_verify(spec, args):
     diagram, signed = st.diagram, st.matrix
     traced = trace(diagram)
     components = traced.components
-    g = build_tait(spec)
     ov = build_overlay(spec)
+    g = tait_graph(ov.corners, ov.crossing_signs)
     # the signs the determinant used, keyed like the overlay's edges
     signs = {(signed.rows[ri], signed.columns[ci].region): e.sign
              for (ri, ci), e in signed.entries.items()}
@@ -238,65 +248,117 @@ def cmd_khovanov(spec, args):
 # ---------------------------------------------------------------------------
 # wiring
 
+#: --extend: a move name per use, appended in order
+_EXTEND = ("--extend", "extend", "append", sorted(MOVES),
+           "grow before evaluating; repeatable, applied left to right (%s)"
+           % ", ".join(sorted(MOVES)))
+
+#: the grammar: command -> (summary, handler, options).  An option is
+#: (flag, dest, action, choices, help), action being argparse's name for
+#: it; help None hides an alias.  Help lists options in this order.
+COMMANDS = {
+    "jones": ("Jones polynomial in t", cmd_jones, (
+        ("--json", "json", "store_true", None,
+         "machine form: ascending [exponent, coefficient] pairs"),
+        ("--bracket", "bracket", "store_true", None,
+         "print the Kauffman bracket in A instead (links allowed)"),
+        ("--bracket-only", "bracket", "store_true", None, None),
+        ("--raw-sign", "raw_sign", "store_true", None,
+         "also report the determinant sign before normalization"),
+        _EXTEND)),
+    "matrix": ("activity matrix and graph exports", cmd_matrix, (
+        ("--signed", "signed", "store_true", None,
+         "apply the Kasteleyn signing"),
+        ("--enhanced", "enhanced", "store_true", None,
+         "annotate rows with traced crossing signs (knots only)"),
+        ("--json", "json", "store_true", None, "machine form"),
+        ("--ascii", "ascii", "store_true", None,
+         "ASCII bars: L~ instead of L̄"),
+        ("--dot", "dot", "store", ("tait", "dual", "overlay"),
+         "emit graphviz for G, G* or the balanced overlay"),
+        _EXTEND)),
+    "verify": ("cross-check every route", cmd_verify, (
+        ("--json", "json", "store_true", None,
+         "machine form, including the invariant bundle"),)),
+    "khovanov": ("bigraded Poincare polynomial", cmd_khovanov, (
+        ("--json", "json", "store_true", None, "machine form"),)),
+}
+
+#: command -> (flag -> (dest, action, choices), the defaults of the dests
+#: that hold one value, the dests that hold a list)
+_FLAGS = {
+    name: ({flag: (dest, action, choices)
+            for flag, dest, action, choices, _ in options},
+           {dest: False if action == "store_true" else None
+            for _, dest, action, _, _ in options if action != "append"},
+           [dest for _, dest, action, _, _ in options if action == "append"])
+    for name, (_, _, options) in COMMANDS.items()}
+
+
+def _read(argv):
+    """The arguments argparse would give a well-formed argv, or None.
+
+    Only argv of the plain shape is read: a command, its exact flags each
+    with a valid value where one is due, and one token not starting with
+    "-" as the spec.  Anything else returns None for argparse to judge.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = argv[0]
+    flags, defaults, lists = _FLAGS[command]
+    fields = dict(defaults, command=command, func=COMMANDS[command][1],
+                  spec=None)
+    for dest in lists:                    # fresh per call, appended in place
+        fields[dest] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if fields["spec"] is not None:
+                return None
+            fields["spec"] = token
+            continue
+        option = flags.get(token)
+        if option is None:
+            return None
+        dest, action, choices = option
+        if action == "store_true":
+            fields[dest] = True
+            continue
+        value = next(tokens, None)
+        if value not in choices:
+            return None
+        if action == "append":
+            fields[dest].append(value)
+        else:
+            fields[dest] = value
+    if fields["spec"] is None:
+        return None
+    return types.SimpleNamespace(**fields)
+
+
 @functools.cache
 def _build_parser():
+    """The argparse parser of COMMANDS, for help and usage errors."""
+    import argparse
     p = argparse.ArgumentParser(
         prog="pretzeldimer",
         description="Exact knot invariants of pretzel links via spanning "
                     "trees, dimers and one determinant.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_spec(sp):
+    for name, (summary, func, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("spec", help="pretzel spec, e.g. \"P(-2,3,7)\" "
                                      "or \"-2,3,7\"")
-
-    def add_extend(sp):
-        sp.add_argument("--extend", action="append", default=[],
-                        choices=sorted(MOVES), metavar="MOVE",
-                        help="grow before evaluating; repeatable, applied "
-                             "left to right (%s)" % ", ".join(sorted(MOVES)))
-
-    j = sub.add_parser("jones", help="Jones polynomial in t")
-    add_spec(j)
-    j.add_argument("--json", action="store_true",
-                   help="machine form: ascending [exponent, coefficient] "
-                        "pairs")
-    j.add_argument("--bracket", action="store_true",
-                   help="print the Kauffman bracket in A instead "
-                        "(links allowed)")
-    j.add_argument("--bracket-only", dest="bracket", action="store_true",
-                   help=argparse.SUPPRESS)
-    j.add_argument("--raw-sign", action="store_true",
-                   help="also report the determinant sign before "
-                        "normalization")
-    add_extend(j)
-    j.set_defaults(func=cmd_jones)
-
-    m = sub.add_parser("matrix", help="activity matrix and graph exports")
-    add_spec(m)
-    m.add_argument("--signed", action="store_true",
-                   help="apply the Kasteleyn signing")
-    m.add_argument("--enhanced", action="store_true",
-                   help="annotate rows with traced crossing signs "
-                        "(knots only)")
-    m.add_argument("--json", action="store_true", help="machine form")
-    m.add_argument("--ascii", action="store_true",
-                   help="ASCII bars: L~ instead of L̄")
-    m.add_argument("--dot", choices=("tait", "dual", "overlay"),
-                   help="emit graphviz for G, G* or the balanced overlay")
-    add_extend(m)
-    m.set_defaults(func=cmd_matrix)
-
-    v = sub.add_parser("verify", help="cross-check every route")
-    add_spec(v)
-    v.add_argument("--json", action="store_true",
-                   help="machine form, including the invariant bundle")
-    v.set_defaults(func=cmd_verify)
-
-    k = sub.add_parser("khovanov", help="bigraded Poincare polynomial")
-    add_spec(k)
-    k.add_argument("--json", action="store_true", help="machine form")
-    k.set_defaults(func=cmd_khovanov)
+        for flag, dest, action, choices, text in options:
+            extra = {}
+            if choices:
+                extra["choices"] = choices
+            if action == "append":
+                extra.update(default=[], metavar="MOVE")
+            sp.add_argument(flag, dest=dest, action=action,
+                            help=argparse.SUPPRESS if text is None else text,
+                            **extra)
+        sp.set_defaults(func=func)
     return p
 
 
@@ -310,7 +372,9 @@ def main(argv=None):
     # argparse reads a leading "-" as an option; a leading space keeps the
     # spec positional, and parse_spec strips it again
     argv = [" " + a if _NEGATIVE_SPEC.match(a) else a for a in argv]
-    args = _build_parser().parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         spec = parse_spec(args.spec)
     except ValueError as exc:

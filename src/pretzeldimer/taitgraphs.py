@@ -107,15 +107,19 @@ def _bigons(corners):
     return sorted({cc["S"] for cc in corners.values()} - {BOT})
 
 
-def build_tait(spec):
-    """Signed Tait graph on the black regions (one edge per crossing)."""
-    spec = tuple(spec)
-    corners = corner_regions(spec)
-    signs = _column_signs(spec)
+def tait_graph(corners, signs):
+    """The signed Tait graph read off a corner table and the crossing
+    signs, as an overlay holds them: its edges join N to S."""
     edges = {label: TaitEdge(label, cc["N"], cc["S"], signs[label])
              for label, cc in corners.items()}
     return TaitGraph(vertices=[TOP, BOT] + _bigons(corners), edges=edges,
                      corners=corners)
+
+
+def build_tait(spec):
+    """Signed Tait graph on the black regions (one edge per crossing)."""
+    spec = tuple(spec)
+    return tait_graph(corner_regions(spec), _column_signs(spec))
 
 
 def dual_graph(g):

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -7,8 +11,10 @@ import time
 import pytest
 
 import pretzeldimer
+from pretzeldimer import cli
 from pretzeldimer.cli import main
 from pretzeldimer.diagram import MAX_CROSSINGS
+from pretzeldimer.extend import MOVES
 
 # golden byte-for-byte outputs for the three worked knots
 GOLDEN_JONES = {
@@ -295,7 +301,7 @@ def test_dot_conflicts_with_extend(capsys):
 
 #: modules whose import cost the CLI start-up must not pay
 HEAVY_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
-                 "__future__")
+                 "__future__", "argparse", "gettext")
 
 
 def test_cli_import_loads_no_heavy_module():
@@ -328,3 +334,150 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
         os.close(write)
     assert proc.returncode == 141
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# argv: the option table and argparse read every argv alike
+
+HELP = pathlib.Path(__file__).resolve().parent / "help"
+
+
+@pytest.mark.parametrize("command", ["top", "jones", "matrix", "verify",
+                                     "khovanov"])
+def test_help_text_golden(capsys, monkeypatch, command):
+    # argparse wraps help to the terminal width; pin it
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["-h"] if command == "top" else [command, "-h"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.encode() == (HELP / ("%s.txt" % command)).read_bytes()
+
+
+def test_long_extend_chain_reads_without_argparse(monkeypatch):
+    # argparse copies the list on every append, quadratic in the chain
+    def refuse():
+        raise AssertionError("well-formed argv reached argparse")
+
+    seen = []
+
+    def recorded(state, moves):
+        seen.append(list(moves))
+        return apply_moves(state, moves)
+
+    apply_moves = cli.apply_moves
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    monkeypatch.setattr(cli, "apply_moves", recorded)
+    argv = ["jones", "P(-2,3,11)"] + ["--extend", "subdivide"] * 4000
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert seen == [["subdivide"] * 4000]
+
+
+#: every command's flags; a valued flag comes with its choices
+GRAMMAR = {
+    "jones": ["--json", "--bracket", "--bracket-only", "--raw-sign",
+              ("--extend", sorted(MOVES))],
+    "matrix": ["--signed", "--enhanced", "--json", "--ascii",
+               ("--dot", ["tait", "dual", "overlay"]),
+               ("--extend", sorted(MOVES))],
+    "verify": ["--json"],
+    "khovanov": ["--json"],
+}
+#: tiny specs: a knot, a link, a bare negative spelling, a refused spec
+FUZZ_SPECS = ["P(1,1,1)", "P(2,2)", "-1,-1,-1", "(1,1,2)", "P(0)"]
+#: tokens no well-formed argv holds
+SOUP = ["--br", "--ext", "--extend=double", "--json=1", "--", "-h", "-", "",
+        "--nope", "-2,3,7"]
+
+
+def _fuzz_corpus(seed):
+    """Every flag and every choice once, then seeded mixtures and soup."""
+    corpus = []
+    for command, flags in GRAMMAR.items():
+        corpus.append([command, "P(1,1,1)"])
+        for flag in flags:
+            if isinstance(flag, str):
+                corpus.append([command, flag, "P(1,1,1)"])
+            else:
+                corpus += [[command, "P(1,1,1)", flag[0], choice]
+                           for choice in flag[1]]
+    rng = random.Random(seed)
+    names = {c: {f if isinstance(f, str) else f[0] for f in flags}
+             for c, flags in GRAMMAR.items()}
+    foreign = {c: sorted(set().union(*names.values()) - names[c])
+               for c in GRAMMAR}
+    for _ in range(600):
+        command = rng.choice(sorted(GRAMMAR))
+        argv = []
+        for _ in range(rng.randrange(5)):
+            flag = rng.choice(GRAMMAR[command])
+            argv += [flag] if isinstance(flag, str) else \
+                [flag[0], rng.choice(flag[1])]
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(FUZZ_SPECS))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            soup = rng.choice(SOUP + ["FOREIGN", "BADCHOICE", "SPEC", "NOSPEC",
+                                      "CUT"])
+            if soup == "FOREIGN" and foreign[command]:
+                soup = rng.choice(foreign[command])
+            elif soup == "BADCHOICE":
+                soup = rng.choice(["--extend nope", "--dot nope",
+                                   "--extend --json"]).split()
+            elif soup == "SPEC":
+                soup = rng.choice(FUZZ_SPECS)
+            elif soup == "NOSPEC":
+                argv = [t for t in argv if t not in FUZZ_SPECS]
+                continue
+            elif soup == "CUT":                 # a valued flag with no value
+                soup = rng.choice(["--dot", "--extend"])
+                argv.append(soup)
+                continue
+            at = rng.randrange(len(argv) + 1)
+            argv[at:at] = soup if isinstance(soup, list) else [soup]
+        corpus.append([command] + argv)
+    corpus += [[], ["-h"], ["nope", "P(1,1,1)"], ["P(1,1,1)"],
+               ["-2,3,7"], ["jones"]]
+    return corpus
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_table_reader_agrees_with_argparse(monkeypatch, seed):
+    monkeypatch.setenv("COLUMNS", "80")
+    accepted = declined = 0
+    for argv in _fuzz_corpus(seed):
+        respelled = [" " + a if cli._NEGATIVE_SPEC.match(a) else a
+                     for a in argv]
+        read = cli._read(respelled)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = vars(cli._build_parser().parse_args(respelled))
+            except SystemExit as exc:
+                parsed = exc.code
+        if read is None:
+            declined += 1
+        else:
+            accepted += 1
+            assert vars(read) == parsed, argv
+        if not isinstance(parsed, dict):        # help or a usage error
+            assert read is None, argv
+
+        code, out, err = _outcome(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read", lambda argv: None)
+            assert _outcome(argv) == (code, out, err), argv
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err, argv
+    assert accepted > 200 and declined > 200

@@ -5,10 +5,10 @@
   imports) still resolves.
 * One command builds one state: a call counter around the constructors
   pins how often ``verify``, ``jones`` and ``khovanov`` build the diagram,
-  the overlay, the Kasteleyn signs and the matrix, how often they trace
-  the diagram, and how often they eliminate.  The state itself builds no
-  overlay: one walk gives the letters and the faces, and one face solve
-  the signs.
+  the corner table, the overlay, the Kasteleyn signs and the matrix, how
+  often they trace the diagram, and how often they eliminate.  The state
+  itself builds no overlay: one walk gives the letters and the faces, and
+  one face solve the signs.
 * ``verify`` checks the Kasteleyn signs of the matrix it evaluates.
 * ``build_overlay`` reads its regions and faces off the corner table: it
   builds no layout region itself, so verify's face check compares the
@@ -72,7 +72,8 @@ def test_benchmark_names_resolve():
 #: module -> constructors, traces and eliminations whose calls are counted
 COUNTED = {
     "diagram": ("build_diagram", "trace"),
-    "taitgraphs": ("build_overlay", "solve_kasteleyn", "kasteleyn_negatives"),
+    "taitgraphs": ("corner_regions", "build_overlay", "solve_kasteleyn",
+                   "kasteleyn_negatives"),
     "matrix": ("signed_block_matrix", "det_value"),
 }
 
@@ -110,6 +111,8 @@ def test_verify_json_builds_one_state(monkeypatch):
     assert counts["signed_block_matrix"] == 1
     # only for verify's own constructor and face checks; the state has none
     assert counts["build_overlay"] == 1
+    # the Tait graph is read off that overlay's corner table
+    assert counts["corner_regions"] == 1
     # verify checks the signs the state's matrix carries, not a second set
     assert counts["kasteleyn_negatives"] == 1
     assert counts["solve_kasteleyn"] == 0
