@@ -13,7 +13,10 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage or parse
 error (including a spec of more than diagram.MAX_CROSSINGS crossings), 3
 domain refusal (a link where a knot is required), 141 standard output
 closed by its reader, as by ``| head`` (128 + SIGPIPE, what a shell
-reports for a tool cut off that way).
+reports for a tool cut off that way).  A command returns 0 or 1; codes 2
+and 3 are raised as diagram.UsageError and diagram.Refusal and mapped to
+their codes once, in main.  Any other exception is a fault and propagates
+with its traceback.
 
 ``--extend`` grows the object before evaluation and may be repeated; moves
 apply left to right.
@@ -37,7 +40,7 @@ import sys
 import types
 
 from .activities import tree_words
-from .diagram import parse_spec, trace
+from .diagram import Refusal, UsageError, parse_spec, trace
 from .evaluate import scan_differentials, state_invariants, stencil_pair_counts
 from .extend import (MOVES, apply_moves, initial_state, normalized,
                      state_bracket, state_jones_raw, state_khovanov_poincare,
@@ -54,21 +57,11 @@ def _spec_label(spec):
     return "P(%s)" % ",".join(str(v) for v in spec)
 
 
-def _grown(spec, moves):
-    """Initial state with extension moves applied; ValueError on bad chains."""
-    return apply_moves(initial_state(spec), moves)
-
-
 # ---------------------------------------------------------------------------
 # jones
 
 def cmd_jones(spec, args):
-    try:
-        st = _grown(spec, args.extend)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-
+    st = apply_moves(initial_state(spec), args.extend)
     if args.bracket:
         val = state_bracket(st)
         if args.json:
@@ -77,11 +70,7 @@ def cmd_jones(spec, args):
             print(val.format("A"))
         return 0
 
-    try:
-        raw = state_jones_raw(st)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+    raw = state_jones_raw(st)
     val = normalized(raw).reexpress(-4)
     sign = -1 if raw[1] else 1
     if args.json:
@@ -103,9 +92,8 @@ def cmd_jones(spec, args):
 def cmd_matrix(spec, args):
     if args.dot:
         if args.extend:
-            print("error: --dot renders the standard diagram; drop --extend",
-                  file=sys.stderr)
-            return 2
+            raise UsageError("--dot renders the standard diagram; drop "
+                             "--extend")
         if args.dot == "tait":
             print(tait_to_dot(build_tait(spec)))
         elif args.dot == "dual":
@@ -116,16 +104,8 @@ def cmd_matrix(spec, args):
             print(overlay_to_dot(ov, signs))
         return 0
 
-    try:
-        st = _grown(spec, args.extend)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        m = state_matrix(st, args.signed, args.enhanced)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+    st = apply_moves(initial_state(spec), args.extend)
+    m = state_matrix(st, args.signed, args.enhanced)
     if args.json:
         print(dump_json(m))
     else:
@@ -208,11 +188,7 @@ def cmd_verify(spec, args):
 
 def cmd_khovanov(spec, args):
     st = initial_state(spec)
-    try:
-        val = state_khovanov_poincare(st)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+    val = state_khovanov_poincare(st)
     m = st.matrix
     reports = scan_differentials(m)
     pairs = val.to_pairs()
@@ -376,13 +352,14 @@ def main(argv=None):
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
-        spec = parse_spec(args.spec)
-    except ValueError as exc:
+        code = args.func(parse_spec(args.spec), args)
+        sys.stdout.flush()
+    except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    try:
-        code = args.func(spec, args)
-        sys.stdout.flush()
+    except Refusal as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # what is left in the buffer goes to devnull when Python exits
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -22,6 +22,17 @@ CORNERS = ("NW", "NE", "SW", "SE")
 #: most crossings a spec may have; a state peaks at ~1.4 KB each (README)
 MAX_CROSSINGS = 10 ** 6
 
+
+class UsageError(ValueError):
+    """An input the command line cannot run: a bad spec or move chain, or
+    flags that do not combine.  The CLI exits 2 with its message."""
+
+
+class Refusal(ValueError):
+    """A well-formed input outside a route's domain, such as a link where
+    a knot is required.  The CLI exits 3 with its message."""
+
+
 #: entry corner -> (exit corner, diagonal, way): a strand keeps to its
 #: diagonal, 0 "/" or 1 "\\", heading east (way +1) or west (way -1)
 _PASSAGE = {"SW": ("NE", 0, 1), "NE": ("SW", 0, -1),
@@ -55,14 +66,10 @@ class Diagram:
     """
     __slots__ = ("crossings", "arcs", "outer_top_arc")
 
-    def __init__(self, crossings, arcs, outer_top_arc=None):
+    def __init__(self, crossings, arcs, outer_top_arc):
         self.crossings = crossings
         self.arcs = arcs
         self.outer_top_arc = outer_top_arc
-
-    def __eq__(self, other):
-        return type(other) is Diagram and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def n(self):
@@ -89,6 +96,7 @@ def parse_spec(text):
     """Parse "P(-2,3,7)" / "(-2,3,7)" / "-2,3,7" into a tuple of ints.
 
     Every entry must be a nonzero integer; at least one column is required.
+    Anything else raises UsageError.
     """
     s = text.strip()
     m = re.fullmatch(r"[Pp]?\s*\(([^()]*)\)", s)
@@ -96,18 +104,18 @@ def parse_spec(text):
         s = m.group(1)
     parts = [p.strip() for p in s.split(",")]
     if parts == [""]:
-        raise ValueError("empty pretzel spec")
+        raise UsageError("empty pretzel spec")
     out = []
     for p in parts:
         try:
             v = int(p)
         except ValueError:
-            raise ValueError("bad pretzel entry %r" % (p,)) from None
+            raise UsageError("bad pretzel entry %r" % (p,)) from None
         if v == 0:
-            raise ValueError("pretzel entries must be nonzero")
+            raise UsageError("pretzel entries must be nonzero")
         out.append(v)
     if sum(map(abs, out)) > MAX_CROSSINGS:
-        raise ValueError("more than %d crossings" % MAX_CROSSINGS)
+        raise UsageError("more than %d crossings" % MAX_CROSSINGS)
     return tuple(out)
 
 

@@ -48,7 +48,7 @@ from collections import namedtuple
 from itertools import takewhile
 
 from .activities import split_token, token
-from .diagram import Crossing, build_diagram, join, trace
+from .diagram import Crossing, Refusal, UsageError, build_diagram, join, trace
 from .laurent import writhe_factor
 from .matrix import (ENTRIES, JONES_TABLE, KHOVANOV_TABLE, Column, det_value,
                      enhance, signed_block_matrix, unsign)
@@ -78,7 +78,7 @@ def initial_state(spec):
 
 def _twist_top(m):
     """Columns of the last row's letters, {"D": internal, "d": external},
-    or raise.
+    or raise UsageError.
 
     This is the shape every twist-column top has, and the shape the two
     edge extensions preserve; kinks and one-column pretzels break it.  A
@@ -100,7 +100,7 @@ def _twist_top(m):
         if ("D", "internal") in byletter and ("d", "external") in byletter:
             return {"D": byletter[("D", "internal")],
                     "d": byletter[("d", "external")]}
-    raise ValueError(
+    raise UsageError(
         "edge extension needs the last row to be a twist top "
         "(one D in an internal column, one d in an external column); "
         "row %d has %s" % (m.rows[ri],
@@ -207,8 +207,6 @@ def _reidemeister1(state, kind, sign=1):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     m = state.diagram
-    if m.outer_top_arc is None:
-        raise ValueError("diagram does not track an outer top arc")
     a1, a2 = m.outer_top_arc
     over = ("/" if sign > 0 else "\\") if kind == "bridge" else \
            ("\\" if sign > 0 else "/")
@@ -280,11 +278,13 @@ def apply_moves(state, names):
 
     The chain grows one copy in place, so it costs one copy of the state
     rather than one per move; with no moves the state itself comes back.
+    An unknown name, or a move the state's shape refuses, raises
+    UsageError.
     """
     grown = state
     for name in names:
         if name not in MOVES:
-            raise ValueError("unknown extension %r (choose from %s)"
+            raise UsageError("unknown extension %r (choose from %s)"
                              % (name, ", ".join(sorted(MOVES))))
         if grown is state:
             grown = state.copy()
@@ -299,7 +299,7 @@ def state_matrix(state, signed, enhanced):
     """The state's matrix as the ``matrix`` command prints it.
 
     Kasteleyn-signed, or with every sign reset to 1; with writhe weights
-    when enhanced (knots only, ValueError on a link).
+    when enhanced (knots only, Refusal on a link).
     """
     m = state.matrix if signed else unsign(state.matrix)
     return enhance(m, state.diagram) if enhanced else m
@@ -322,8 +322,8 @@ def state_jones_raw(state, traced=None, det=None):
     """
     t = trace(state.diagram) if traced is None else traced
     if t.components != 1:
-        raise ValueError("Jones route needs a knot; this state traces "
-                         "%d components" % t.components)
+        raise Refusal("Jones route needs a knot; this state traces "
+                      "%d components" % t.components)
     if det is None:
         det = det_value(state.matrix, JONES_TABLE)
     val = det * writhe_factor(t.writhe)
@@ -379,5 +379,5 @@ def state_khovanov_poincare(state):
     bidegree.
     """
     if trace(state.diagram).components != 1:
-        raise ValueError("Poincare polynomial route needs a knot")
+        raise Refusal("Poincare polynomial route needs a knot")
     return signed_poincare(det_value(state.matrix, KHOVANOV_TABLE))

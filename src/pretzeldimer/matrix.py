@@ -51,7 +51,7 @@ from heapq import heappop, heappush
 from itertools import accumulate
 
 from .activities import split_token, token
-from .diagram import trace
+from .diagram import Refusal, trace
 from .laurent import Laurent, Laurent2, _div, _mul
 from .taitgraphs import BOT, bigon, kasteleyn_negatives, region_name, strip
 
@@ -255,8 +255,8 @@ def enhance(m, diagram):
     """
     t = trace(diagram)
     if t.components != 1:
-        raise ValueError("writhe weights need a knot, got a %d-component link"
-                         % t.components)
+        raise Refusal("writhe weights need a knot, got a %d-component link"
+                      % t.components)
     out = m.copy()
     out.enhanced = True
     out.row_weights = {ri: t.signs[label] for ri, label in enumerate(out.rows)}

@@ -150,6 +150,23 @@ def test_bad_extension_chain_exits_2(capsys):
     assert code == 2 and "twist top" in err
 
 
+@pytest.mark.parametrize("argv", [["jones", "P(-2,3,7)"],
+                                  ["khovanov", "P(-2,3,7)"],
+                                  ["jones", "P(-2,3,7)", "--bracket"],
+                                  ["verify", "P(-2,3,7)"]])
+def test_fault_in_elimination_propagates(monkeypatch, capsys, argv):
+    # a ValueError that is neither a usage error nor a refusal is a fault:
+    # it leaves main with its traceback instead of exiting 3
+    def faulty(rows, n):
+        raise ValueError("inexact Laurent division")
+
+    monkeypatch.setattr("pretzeldimer.matrix._eliminate", faulty)
+    with pytest.raises(ValueError, match="inexact Laurent division") as exc:
+        main(argv)
+    assert type(exc.value) is ValueError
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_ok_exits_0(capsys):
     code, out, _ = run(capsys, "verify", "P(1,1,1)")
     assert code == 0

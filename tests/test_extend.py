@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from pretzeldimer.diagram import build_diagram, trace
+from pretzeldimer.diagram import (MAX_CROSSINGS, Refusal, UsageError,
+                                  build_diagram, parse_spec, trace)
 from pretzeldimer.evaluate import bracket, jones_in_A, pipeline_matrix
 from pretzeldimer.extend import (
     MOVES,
@@ -14,6 +15,9 @@ from pretzeldimer.extend import (
     state_bracket,
     state_jones,
     state_jones_in_A,
+    state_jones_raw,
+    state_khovanov_poincare,
+    state_matrix,
     subdivide,
 )
 from pretzeldimer.matrix import expand, pretty, to_json, word_multiset
@@ -235,6 +239,25 @@ def test_apply_moves_rejects_unknown_names():
         apply_moves(initial_state((1, 1, 1)), ["r3"])
     assert set(MOVES) == {"subdivide", "double", "r1:bridge", "r1:bridge-",
                           "r1:loop", "r1:loop-", "r2:series", "r2:parallel"}
+
+
+def test_usage_errors_and_refusals_are_their_own_value_errors():
+    # the CLI exits 2 on a UsageError and 3 on a Refusal; both stay
+    # ValueErrors for callers of the API
+    assert issubclass(UsageError, ValueError)
+    assert issubclass(Refusal, ValueError)
+    for bad in ("P(0)", "P()", "nope", "P(%d)" % (MAX_CROSSINGS + 1)):
+        with pytest.raises(UsageError):
+            parse_spec(bad)
+    for spec, chain in (((1, 1, 1), ["r3"]), ((3,), ["subdivide"]),
+                        ((1, 1, 3), ["r1:loop", "double"])):
+        with pytest.raises(UsageError):
+            apply_moves(initial_state(spec), chain)
+    link = initial_state((2, 2))
+    for route in (state_jones_raw, state_khovanov_poincare,
+                  lambda st: state_matrix(st, True, True)):
+        with pytest.raises(Refusal):
+            route(link)
 
 
 def test_edge_extensions_need_a_twist_top():

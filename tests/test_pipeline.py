@@ -19,6 +19,8 @@
   the package exports, the benchmark harness, or a named reference.
 * The two Laurent rings share one body: neither defines an operation
   other than its product, which each keeps for the tracer to patch.
+* ``main`` alone decides exit codes 2 and 3: no command function in
+  cli.py holds a ``try`` or returns the literal 2 or 3.
 """
 import ast
 import contextlib
@@ -286,3 +288,19 @@ def test_the_rings_share_one_body(ring):
     assert "__mul__" in vars(ring)
     assert set(SHARED_RING_OPS) <= set(vars(_Ring))
     assert not set(SHARED_RING_OPS) & set(vars(ring))
+
+
+def test_main_alone_maps_usage_errors_and_refusals():
+    # commands raise diagram.UsageError or diagram.Refusal; main maps each
+    # to its exit code once, so no command catches or returns a code
+    tree = ast.parse((ROOT / "src" / "pretzeldimer" / "cli.py").read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")]
+    assert len(commands) == len(cli.COMMANDS)
+    for func in commands:
+        for node in ast.walk(func):
+            assert not isinstance(node, ast.Try), func.name
+            if isinstance(node, ast.Return) \
+                    and isinstance(node.value, ast.Constant):
+                assert node.value.value not in (2, 3), func.name
