@@ -235,7 +235,7 @@ class Laurent(_Ring):
                     "exponent %d not divisible by %d; substitution leaves "
                     "the Laurent ring" % (e, ratio))
             out[e // ratio] = c
-        return Laurent(out)
+        return _wrap(Laurent, out)
 
     # -- presentation ------------------------------------------------------
 
@@ -251,8 +251,9 @@ class Laurent(_Ring):
 
 
 def writhe_factor(w):
-    """(-A^-3)^w, which turns a bracket of writhe w into the Jones polynomial."""
-    return Laurent.term(-1, -3) ** w
+    """(-A^-3)^w = (-1)^w A^(-3w), which turns a bracket of writhe w into
+    the Jones polynomial; built as that one monomial, with no powering."""
+    return _wrap(Laurent, {-3 * w: -1 if w & 1 else 1})
 
 
 class Laurent2(_Ring):

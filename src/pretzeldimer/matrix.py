@@ -23,7 +23,10 @@ by that order's parity, so a column a move appends last costs what the
 same column of a pretzel costs.  It pivots on up-to-date rows and updates
 a stale row with one exact division, so the desk sweep, P(3^k) and
 P(-2,3,n) take no polynomial division, and it drops each pivot row and
-divisor once nothing reads it.
+divisor once nothing reads it.  On the matrices the commands see most of
+a step's cost is bookkeeping, not products, so the kernel keeps each
+row's coefficient count as the row changes, adds a one-term multiple of
+the pivot row in place, and each LetterTable keeps its lowered values.
 The stencil pair counts (evaluate.stencil_pair_counts) eliminate over Z
 in this column order too.  expand and perm_value enumerate every
 term; they serve word-level questions and are the slow route elimination
@@ -47,12 +50,13 @@ build_graph_matrix takes a ranks mapping so that this can be demonstrated.
 import json
 import math
 from collections import Counter, namedtuple
+from functools import partial
 from heapq import heappop, heappush
 from itertools import accumulate
 
 from .activities import split_token, token
 from .diagram import Refusal, trace
-from .laurent import Laurent, Laurent2, _div, _mul
+from .laurent import Laurent, Laurent2, _div, _mul, _wrap
 from .taitgraphs import BOT, bigon, kasteleyn_negatives, region_name, strip
 
 
@@ -407,21 +411,32 @@ def word_multiset(m):
 # ---------------------------------------------------------------------------
 # letter tables
 
+class LetterTable(dict):
+    """Activity letter -> polynomial, fixed once made.  It keeps what
+    det_value lowers it to, by matrix size and signedness (_entry_values),
+    so a table is lowered once, not at every determinant."""
+    __slots__ = ("lowered",)
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.lowered = {}
+
+
 #: activity letter -> Kauffman-bracket weight (Table 1)
-JONES_TABLE = {
+JONES_TABLE = LetterTable({
     "L": Laurent.term(-1, -3), "D": Laurent.term(1, 1),
     "l": Laurent.term(-1, 3), "d": Laurent.term(1, -1),
     "L~": Laurent.term(-1, 3), "D~": Laurent.term(1, -1),
     "l~": Laurent.term(-1, -3), "d~": Laurent.term(1, 1),
-}
+})
 
 #: activity letter -> bigraded (u, v) weight (Table 2)
-KHOVANOV_TABLE = {
+KHOVANOV_TABLE = LetterTable({
     "L": Laurent2.term(1, 1, 1), "D": Laurent2.term(1, 0, 1),
     "l": Laurent2.term(1, -1, 0), "d": Laurent2.one(),
     "L~": Laurent2.term(1, -1, 0), "D~": Laurent2.one(),
     "l~": Laurent2.term(1, 1, 0), "d~": Laurent2.one(),
-}
+})
 
 
 def word_sum(words, table):
@@ -449,7 +464,7 @@ def word_sum(words, table):
     for word in words:
         e = sum(map(exp_of, word))
         total[e] = total.get(e, 0) + math.prod(map(coeff_of, word))
-    return decode(total)
+    return decode({e: c for e, c in total.items() if c})
 
 
 def perm_value(m, table):
@@ -500,11 +515,20 @@ def _eliminate(rows, n):
       remainder raises ValueError), none when p_(s-1) = 1.
     * Unit pivot u: P counts as multiplied by u^-1, folded into a running
       unit factor, so p_k = 1 and the update is R -= (a / u) P.
+
+    Around those products a step does as little as it can.  Each row's
+    coefficient count, the pivot rule's fourth key, is kept up to date as
+    the row changes, not recounted for every candidate at every step.
+    When the multiplier (a, or a / u) is one term m A^k, as in every bigon
+    step of a pretzel column over Table 1 or 2, P's entries are shifted by
+    k, scaled by m and added into R in place, with no product dict.  Every
+    other product goes through _mul and every division through _div.
     """
     holders = [set() for _ in range(n)]   # column -> unpivoted rows in it
     for r, row in enumerate(rows):
         for j in row:
             holders[j].add(r)
+    size = [sum(map(len, row.values())) for row in rows]  # row -> terms
     keys = [len(h) * n + c for c, h in enumerate(holders)]  # -1 once taken
     heap = sorted(keys)
     cols, pivots = [], []         # column and pivot row of each step
@@ -524,10 +548,10 @@ def _eliminate(rows, n):
         best = pr = None
         for r in active:
             a = rows[r][col]
-            stale = den[r] != cur
+            d = den[r]
+            stale = d is not cur and d != cur
             unit = not stale and len(a) == 1 and abs(*a.values()) == 1
-            rank = (not unit, stale, len(a), sum(map(len, rows[r].values())),
-                    r)
+            rank = (not unit, stale, len(a), size[r], r)
             if best is None or rank < best:
                 best, pr = rank, r
         if best is None:
@@ -548,30 +572,65 @@ def _eliminate(rows, n):
             if r == pr:
                 continue
             row = rows[r]
-            # -a, divided by the unit pivot when there is one
-            a = {e - pe: -c * pc for e, c in row.pop(col).items()}
+            a = row.pop(col)
+            s = size[r] - len(a)
             if p is not _ONE:
                 for j, x in row.items():
                     row[j] = _mul(x, p)
-            for j, y in prow.items():
-                t = row.get(j)
-                if t is None:
-                    row[j] = _mul(a, y)
-                    holders[j].add(r)
-                    continue
-                for e, c in _mul(a, y).items():
-                    v = t.get(e, 0) + c
-                    if v:
-                        t[e] = v
+            if len(a) == 1:
+                # the multiplier -a, divided by any unit pivot, is one
+                # term m A^k: shift and scale P's entries into R
+                (k, m), = a.items()
+                k -= pe
+                m *= -pc
+                for j, y in prow.items():
+                    t = row.get(j)
+                    if t is None:
+                        row[j] = {e + k: c * m for e, c in y.items()}
+                        holders[j].add(r)
+                        s += len(y)
+                        continue
+                    s -= len(t)
+                    for e, c in y.items():
+                        e += k
+                        v = t.get(e, 0) + c * m
+                        if v:
+                            t[e] = v
+                        else:
+                            del t[e]
+                    if t:
+                        s += len(t)
                     else:
-                        del t[e]
-                if not t:
-                    del row[j]
-                    holders[j].discard(r)
+                        del row[j]
+                        holders[j].discard(r)
+            else:
+                a = {e - pe: -c * pc for e, c in a.items()}
+                for j, y in prow.items():
+                    t = row.get(j)
+                    if t is None:
+                        t = row[j] = _mul(a, y)
+                        holders[j].add(r)
+                        s += len(t)
+                        continue
+                    s -= len(t)
+                    for e, c in _mul(a, y).items():
+                        v = t.get(e, 0) + c
+                        if v:
+                            t[e] = v
+                        else:
+                            del t[e]
+                    if t:
+                        s += len(t)
+                    else:
+                        del row[j]
+                        holders[j].discard(r)
             d = den[r]
             if d is not _ONE:
                 for j, x in row.items():
                     row[j] = _div(x, d)
+            if p is not _ONE or d is not _ONE:   # products and quotients
+                s = sum(map(len, row.values()))  # change every length
+            size[r] = s
             den[r] = p
         for j in prow:                # only these columns' counts moved
             h = holders[j]
@@ -587,9 +646,10 @@ def _eliminate(rows, n):
 
 def _lower(table, n):
     """A letter table's values as raw one-variable coefficient dicts, and
-    the decoder that makes a result dict a polynomial of the table's ring.
+    the decoder that makes a normalised result dict a polynomial of the
+    table's ring.
 
-    A one-variable table is already raw, and Laurent itself decodes.  A
+    A one-variable table is already raw, and its decoder only wraps.  A
     two-variable one is Kronecker-substituted, (u, v) -> x^(u + B v) with
     B = 2 U n + 1, where U bounds |u| over the letters and n bounds the
     number of letters in a product: every product of at most n letters
@@ -598,7 +658,7 @@ def _lower(table, n):
     """
     coeffs = {tok: val.coeffs for tok, val in table.items()}
     if type(next(iter(table.values()))) is not Laurent2:
-        return coeffs, Laurent
+        return coeffs, partial(_wrap, Laurent)
     bound = n * max((abs(u) for p in coeffs.values() for u, _ in p),
                     default=0)
     base = 2 * bound + 1
@@ -610,34 +670,50 @@ def _lower(table, n):
         for e, c in det.items():
             v = (e + bound) // base
             out[(e - base * v, v)] = c
-        return Laurent2(out)
+        return _wrap(Laurent2, out)
 
     return flat, decode
+
+
+def _entry_values(table, n, signed):
+    """The raw dict of each (letter, Kasteleyn sign) of a table for n x n
+    matrices, the sign applied when signed, and the decoder (_lower).  A
+    LetterTable keeps them, at most 64 sizes, and a plain dict lowers
+    again at every call."""
+    kept = getattr(table, "lowered", {})
+    hit = kept.get((n, signed))
+    if hit is None:
+        coeffs, decode = _lower(table, n)
+        raw = {(tok, s): {e: c * s for e, c in val.items()} if signed
+               else val for tok, val in coeffs.items() for s in (1, -1)}
+        if len(kept) >= 64:
+            kept.clear()
+        hit = kept[n, signed] = raw, decode
+    return hit
 
 
 def det_value(m, table):
     """Determinant of the matrix (signed if m.signed) over a letter table.
 
     Computed by elimination (``_eliminate``), never by term expansion, on
-    the raw coefficient dicts of the table values: each entry's is copied
-    once, negated for a -1 Kasteleyn sign, and one polynomial is made from
-    the result.  The kernel picks the columns in a fill-reducing order as
-    it goes, fewest live rows first, and corrects the sign by that order's
-    parity; the stored order, which ``pretty`` and ``to_json`` print, is
-    left alone.  It pivots on up-to-date rows first and updates a stale
-    row with one exact division.  Two-variable tables go through a
-    Kronecker substitution.  A non-square matrix raises ValueError.
+    the raw coefficient dicts of the table values: each entry copies the
+    dict of its letter and Kasteleyn sign, which a LetterTable keeps per
+    matrix size, and the kernel's result, already normalised, is wrapped
+    as one polynomial.  The kernel picks the columns in a
+    fill-reducing order as it goes, fewest live rows first, and corrects
+    the sign by that order's parity; the stored order, which ``pretty``
+    and ``to_json`` print, is left alone.  It pivots on up-to-date rows
+    first and updates a stale row with one exact division.  Two-variable
+    tables go through a Kronecker substitution.  A non-square matrix
+    raises ValueError.
     """
     _require_square(m)
-    coeffs, decode = _lower(table, m.n)
-    rows = [{} for _ in range(m.n)]
+    n = m.n
+    raw, decode = _entry_values(table, n, m.signed)
+    rows = [{} for _ in range(n)]
     for (ri, ci), e in m.entries.items():
-        val = coeffs[e.tok]
-        if m.signed and e.sign < 0:
-            rows[ri][ci] = {x: -c for x, c in val.items()}
-        else:
-            rows[ri][ci] = dict(val)
-    return decode(_eliminate(rows, m.n))
+        rows[ri][ci] = raw[e].copy()
+    return decode(_eliminate(rows, n))
 
 
 # ---------------------------------------------------------------------------

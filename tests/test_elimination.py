@@ -9,15 +9,20 @@ order, and on a matrix with duplicate words.  The bracket and the
 Poincare polynomial, whose signs extend reads off their own values, must
 equal perm_value, and the bracket's value at A = 1 must be the
 (-1)^(n+c-1) 2^(c-1) that the bracket's sign rule relies on.  The raw
-sign of two long chains is pinned, columns of threes and the whole desk
-sweep must eliminate with no polynomial division, and elimination must
-free its pivot rows and divisors as it goes.  The elimination kernel is
-also held to a Leibniz sum on seeded matrices whose entries are not
-units, and the stencil pair counts, which are determinants of minors, to
-the word pairs the expansion lists and to one elimination per minor
+sign of two long chains is pinned; columns of threes, the whole desk
+sweep, the long ladder, its subdivide chains and the wide knots must
+eliminate with no polynomial division; and elimination must free its
+pivot rows and divisors as it goes.  The elimination kernel is also held
+to a Leibniz sum on seeded matrices whose entries are not units, and on
+matrices whose pivots are units and whose updates cancel entries, which
+drive the in-place one-term update; the pivots it takes are pinned to
+those it took when it recounted every candidate row.  The stencil pair
+counts, which are determinants of minors, are held to the word pairs the
+expansion lists and to one elimination per minor
 (tree_reference.reference_pair_counts).
 """
 import contextlib
+import hashlib
 import io
 import itertools
 import math
@@ -202,6 +207,36 @@ def test_desk_sweep_eliminates_without_division(monkeypatch, table):
     assert calls["_div"] == 0
 
 
+#: the long ladder P(+-(-2,3,2m+1)), m = 2..26; P(+-(-2,3,11)) grown by 2j
+#: subdivides, j = 2..16; and the eleven wide knots, each over both tables
+FAMILIES = {
+    "long ladder": lambda: [initial_state((-2 * s, 3 * s, (2 * m + 1) * s))
+                            for m in range(2, 27) for s in (1, -1)],
+    "subdivide chains": lambda: [
+        apply_moves(initial_state((-2 * s, 3 * s, 11 * s)),
+                    ["subdivide"] * (2 * j))
+        for j in range(2, 17) for s in (1, -1)],
+    "wide knots": lambda: [initial_state(spec) for spec in (
+        (2, 3, 3, 3, 3), (1, 3, 3, 3, 5), (3, 3, 3, 3, 3), (3, 3, 3, 3, 4),
+        (3, 3, 3, 3, 5), (3, 3, 3, 4, 5), (2, 3, 3, 3, 3, 3),
+        (3, 3, 3, 5, 5), (3, 3, 5, 5, 5), (5, 5, 5, 5, 5),
+        (3, 3, 3, 3, 3, 3, 3))],
+}
+
+
+@TABLES
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_long_and_wide_shapes_eliminate_without_division(monkeypatch,
+                                                         family, table):
+    # every pivot that updates a row is a unit here, so every row is
+    # updated over the divisor 1
+    matrices = [st.matrix for st in FAMILIES[family]()]
+    calls = count_kernel_calls(monkeypatch)
+    for m in matrices:
+        det_value(m, table)
+    assert calls["_div"] == 0
+
+
 #: bytes state_bracket may allocate at its peak on P(3^201); keeping every
 #: pivot row and divisor to the end took 14.6 MB, freeing them 0.9 MB
 PEAK_BYTES_P3_201 = 4 * 10 ** 6
@@ -366,6 +401,131 @@ def test_elimination_matches_leibniz_on_non_unit_entries(pool):
         zeros += not want
     assert zeros > 10                 # cancellation to zero was exercised
     assert time.perf_counter() - t0 < KERNEL_BUDGET_S
+
+
+#: unit monomials, the entries of the tree rows of unit_pivot_matrix
+UNITS_A = [L((e, c)) for e in (-2, -1, 0, 1, 3) for c in (1, -1)]
+UNITS_UV = [Laurent2({k: c}) for k in ((0, 0), (1, 0), (-1, 1), (2, -1))
+            for c in (1, -1)]
+
+
+def unit_pivot_matrix(rng, pool, units):
+    """A seeded square matrix, n <= 7, whose every pivot that updates a
+    row is a unit, with updates that cancel.
+
+    Rows 0..n-2 are the edges of a random tree on the n columns, with a
+    unit at either end; the last row is a pool combination of them with
+    up to two entries replaced by pool entries.  While the last row is
+    live, every column left holds an edge row, a unit, so the kernel
+    pivots on one, and doing so contracts the edge: the other edge rows
+    stay a tree of two units each, since no two tree edges share both
+    ends.  The last row can win only with a single one-term entry, whose
+    step changes no other entry, and every row left after it holds units
+    only.  So no step divides, and the one pivot that may not be a unit
+    is the last.  The last row's multiplier is its entry divided by a
+    unit, often not a monomial; its entries cancel where the
+    combination's terms do, and a column it lost comes back when a
+    contraction brings an edge to it.
+    """
+    ring = type(pool[0])
+    n = rng.randint(2, 7)
+    edges = [{v: rng.choice(units), rng.randrange(v): rng.choice(units)}
+             for v in range(1, n)]
+    rng.shuffle(edges)
+    last = {}
+    for edge in edges:
+        if rng.random() < 0.5:
+            f = rng.choice(pool)
+            for ci, x in edge.items():
+                last[ci] = last.get(ci, ring.zero()) + f * x
+    last = {ci: x for ci, x in last.items() if x}
+    for _ in range(rng.randint(0, 2)):
+        last[rng.randrange(n)] = rng.choice(pool)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [{perm[ci]: x for ci, x in row.items()} for row in edges + [last]]
+
+
+def regain_matrix(ring):
+    """A star of three unit edges on column 3, from columns 0, 1 and 2, and
+    a last row (1 + x) e_0 + 2 at column 1 + (1 + x^-1) at column 2.
+
+    Columns 0, 1 and 2 tie on two live rows, so column 0 goes first; its
+    edge is the unit pivot, the multiplier 1 + x is not a monomial, and
+    the last row's entry at column 3 cancels.  Column 3 is left with two
+    edges, so column 1 goes next, and its edge brings column 3 back into
+    the last row.
+    """
+    def c(v, e=0):
+        return ring({(e, 0) if ring is Laurent2 else e: v})
+
+    one, x = c(1), c(1, 1)
+    return [{0: one, 3: one}, {1: one, 3: -one}, {2: x, 3: one},
+            {0: one + x, 3: one + x, 1: c(2), 2: one + c(1, -1)}]
+
+
+@pytest.mark.parametrize("pool, units", [(POOL_A, UNITS_A),
+                                         (POOL_UV, UNITS_UV)],
+                         ids=["A", "uv"])
+def test_elimination_matches_leibniz_on_unit_pivots(monkeypatch, pool,
+                                                    units):
+    t0 = time.perf_counter()
+    ring = type(pool[0])
+    rng = random.Random(8080)
+    calls = count_kernel_calls(monkeypatch)
+    zeros = 0
+    cases = [regain_matrix(ring)] + \
+        [unit_pivot_matrix(rng, pool, units) for _ in range(150)]
+    for rows in cases:
+        n = len(rows)
+        m, table, _ = as_matrix(rows, n)
+        want = leibniz(rows, n, ring)
+        assert det_value(m, table) == want, rows
+        zeros += not want
+    assert calls["_div"] == 0         # every step pivoted on a unit
+    assert calls["_mul"] > 0          # multipliers that are not monomials
+    assert zeros > 10
+    assert time.perf_counter() - t0 < KERNEL_BUDGET_S
+
+
+#: sha256 of the column and pivot-row orders of every elimination in
+#: pivot_orders, as taken when every candidate row's coefficients were
+#: recounted at every step: the counts the kernel keeps must pick the
+#: same pivots
+PIVOT_ORDERS_SHA256 = \
+    "56f236ebd182e1dd2886e559905e22ebf827708c74c15edd6518585d115d11d6"
+
+
+def pivot_orders(monkeypatch):
+    """The orders elimination hands _parity, one tuple each: on seeded
+    matrices of non-unit entries and of unit pivots, and on the desk sweep
+    and the subdivide chains over both tables."""
+    orders = []
+    real = matrix._parity
+    monkeypatch.setattr(matrix, "_parity",
+                        lambda order: orders.append(tuple(order))
+                        or real(order))
+    rng = random.Random(6060)
+    for pool, units in ((POOL_A, UNITS_A), (POOL_UV, UNITS_UV)):
+        for _ in range(300):
+            for rows in (random_matrix(rng, pool),
+                         unit_pivot_matrix(rng, pool, units)):
+                m, table, _ = as_matrix(rows, len(rows), rng)
+                if table:
+                    det_value(m, table)
+    states = [initial_state(spec) for spec in desk_sweep()] + \
+        FAMILIES["subdivide chains"]()
+    for st in states:
+        for table in (JONES_TABLE, KHOVANOV_TABLE):
+            det_value(st.matrix, table)
+    return orders
+
+
+def test_kept_coefficient_counts_pick_the_recounted_pivots(monkeypatch):
+    orders = pivot_orders(monkeypatch)
+    assert len(orders) > 2 * 8000
+    assert hashlib.sha256(repr(orders).encode()).hexdigest() == \
+        PIVOT_ORDERS_SHA256
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])

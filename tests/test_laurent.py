@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pretzeldimer.laurent import Laurent, Laurent2
+from pretzeldimer.laurent import Laurent, Laurent2, writhe_factor
 
 
 def L(pairs):
@@ -29,6 +29,25 @@ def test_positive_writhe_factor_direction():
     bracket = L([[-5, -1], [3, -1], [7, 1]])
     val = (Laurent.term(-1, -3) ** 3) * bracket
     assert val == L([[-14, 1], [-6, 1], [-2, -1]])
+
+
+def test_writhe_factor_is_the_power_of_minus_a_cubed_inverse():
+    # built as the one monomial (-1)^w A^(-3w), it must equal the power
+    base = Laurent.term(-1, -3)
+    for w in range(-60, 61):
+        factor = writhe_factor(w)
+        assert factor == base ** w, w
+        assert type(factor) is Laurent
+        (e, c), = factor.coeffs.items()
+        assert (e, c) == (-3 * w, -1 if w % 2 else 1)
+        assert type(e) is int and type(c) is int
+
+
+def test_reexpress_keeps_a_normalised_polynomial():
+    val = L([[-8, 3], [0, -1], [12, 2]]).reexpress(-4)
+    assert val == L([[2, 3], [0, -1], [-3, 2]])
+    assert type(val) is Laurent
+    assert Laurent.zero().reexpress(4) == Laurent.zero()
 
 
 def test_torus_knot_writhe_eight():
