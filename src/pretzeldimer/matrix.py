@@ -628,8 +628,8 @@ def _eliminate(rows, n):
             if d is not _ONE:
                 for j, x in row.items():
                     row[j] = _div(x, d)
-            if p is not _ONE or d is not _ONE:   # products and quotients
-                s = sum(map(len, row.values()))  # change every length
+            if p is not _ONE or d is not _ONE:   # every entry was rebuilt
+                s = sum(map(len, row.values()))
             size[r] = s
             den[r] = p
         for j in prow:                # only these columns' counts moved
@@ -699,13 +699,13 @@ def det_value(m, table):
     the raw coefficient dicts of the table values: each entry copies the
     dict of its letter and Kasteleyn sign, which a LetterTable keeps per
     matrix size, and the kernel's result, already normalised, is wrapped
-    as one polynomial.  The kernel picks the columns in a
-    fill-reducing order as it goes, fewest live rows first, and corrects
-    the sign by that order's parity; the stored order, which ``pretty``
-    and ``to_json`` print, is left alone.  It pivots on up-to-date rows
-    first and updates a stale row with one exact division.  Two-variable
-    tables go through a Kronecker substitution.  A non-square matrix
-    raises ValueError.
+    as one polynomial.  The kernel picks the columns in a fill-reducing
+    order as it goes, fewest live rows first, and corrects the sign by
+    that order's parity; the stored order, which ``pretty`` and
+    ``to_json`` print, is left alone.  It pivots on up-to-date rows first
+    and updates a stale row with one exact division.  Two-variable tables
+    go through a Kronecker substitution.  A non-square matrix raises
+    ValueError.
     """
     _require_square(m)
     n = m.n
