@@ -39,30 +39,20 @@ _PASSAGE = {"SW": ("NE", 0, 1), "NE": ("SW", 0, -1),
             "NW": ("SE", 1, 1), "SE": ("NW", 1, -1)}
 
 
-class Crossing:
-    """One crossing: over is "/" if the SW-NE strand is on top, "\\"
-    otherwise; sign is the checkerboard edge sign (column sign), +1 or -1."""
-    __slots__ = ("label", "over", "sign")
-
-    def __init__(self, label, over, sign):
-        if over not in ("/", "\\"):
-            raise ValueError("over must be '/' or '\\'")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.label = label
-        self.over = over
-        self.sign = sign
-
-    def __eq__(self, other):
-        return type(other) is Crossing and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+class Crossing(namedtuple("Crossing", "label over sign")):
+    """One crossing, immutable: over is "/" if the SW-NE strand is on top,
+    "\\" otherwise; sign is the checkerboard edge sign (column sign), +1
+    or -1.  The diagram and the moves compute both, so neither is checked
+    again here."""
+    __slots__ = ()
 
 
 class Diagram:
     """Crossings (label -> Crossing) wired by arcs, a port -> port
     involution with port = (label, corner).  outer_top_arc is the unique
-    arc separating the upper deck from the unbounded region; surgery
-    operations keep it up to date so kinks know where to attach.
+    arc separating the upper deck from the unbounded region.  The moves
+    in extend grow a diagram in place and keep outer_top_arc up to date,
+    so kinks know where to attach; nothing copies a diagram.
     """
     __slots__ = ("crossings", "arcs", "outer_top_arc")
 
@@ -82,14 +72,6 @@ class Diagram:
         """Each arc once, as a sorted pair of ports: arcs is an involution
         with no fixed port, so every arc appears as exactly one p < q."""
         return [(p, q) for p, q in self.arcs.items() if p < q]
-
-    def copy(self):
-        return Diagram(
-            crossings={l: Crossing(c.label, c.over, c.sign)
-                       for l, c in self.crossings.items()},
-            arcs=dict(self.arcs),
-            outer_top_arc=self.outer_top_arc,
-        )
 
 
 def parse_spec(text):

@@ -14,36 +14,35 @@ invariant is one determinant whose global sign is read off its own value
 Each move splices one crossing into the diagram **and** appends the
 matching row/column to the activity matrix, so invariants of the larger
 object come out of the same determinant/permanent machinery with no fresh
-global construction.  Four moves:
+global construction.  ``MOVES`` names every move, and ``apply_moves``
+is the one way to grow a state: it grows the state it is given, in place.
 
 * ``subdivide``  - put one more crossing at the top of the last twist column
   (series extension of the last checkerboard edge),
 * ``double``     - put a parallel crossing east of the last column's top
   (parallel extension of that edge),
-* ``reidemeister1`` - hang a positive or negative kink off the outer top
-  strand, either poking up into the unbounded region ("bridge") or dipping
-  down into the upper deck ("loop"),
-* ``reidemeister2`` - an oppositely-signed pair, in series or in parallel.
+* ``r1:bridge``, ``r1:loop`` and their negative ``-`` forms - hang a kink
+  off the outer top strand, either poking up into the unbounded region
+  ("bridge") or dipping down into the upper deck ("loop"),
+* ``r2:series``, ``r2:parallel`` - an oppositely-signed pair.
 
-Each move returns a grown copy and leaves its argument alone;
-``apply_moves`` grows one copy through the whole chain, so a chain costs
-one copy of the state, not one per move.
+Each move either grows the state or raises UsageError before it changes
+anything.
 
 Kasteleyn signs of the new entries follow fixed local rules (new live
 entry +1, new dead entry in the new column -1, copied column entries keep
 the sign already there); tests check the face parities and the
 determinant/permanent sign split survive every move.
 
-``subdivide`` and ``double`` are one splice (``_splice``).  A series
-extension of the Tait graph is a parallel extension of its dual, so the
-parallel splice is the series one turned a quarter turn, with the dual
-letters (L <-> l, D <-> d) and an external column for the internal one.
-Both need the last matrix row to look like a twist top: exactly one D in
-an internal column plus one d in an external column.  A one-column pretzel
-or a freshly added kink does not qualify and is rejected before any
-surgery happens.
+``subdivide``, ``double`` and Reidemeister 2 are one splice (``_splice``).
+A series extension of the Tait graph is a parallel extension of its dual,
+so the parallel splice is the series one turned a quarter turn, with the
+dual letters (L <-> l, D <-> d) and an external column for the internal
+one.  Both need the last matrix row to look like a twist top: exactly one
+D in an internal column plus one d in an external column.  A one-column
+pretzel or a freshly added kink does not qualify and is rejected before
+any surgery happens.
 """
-import functools
 from collections import namedtuple
 from itertools import takewhile
 
@@ -57,9 +56,6 @@ from .matrix import (ENTRIES, JONES_TABLE, KHOVANOV_TABLE, Column, det_value,
 class GrownState(namedtuple("GrownState", "matrix diagram")):
     """A signed (unenhanced) activity matrix plus its live diagram."""
     __slots__ = ()
-
-    def copy(self):
-        return GrownState(self.matrix.copy(), self.diagram.copy())
 
     @property
     def n(self):
@@ -181,49 +177,36 @@ def _splice(state, how, sign=None):
                                   am.entries[(ri, ci)].sign)
 
 
-def _subdivide(state, sign=None):
-    """Series growth: one more crossing on top of the last twist column."""
-    _splice(state, "series", sign)
-
-
-def _double(state, sign=None):
-    """Parallel growth: one more crossing east of the last column's top."""
-    _splice(state, "parallel", sign)
-
-
 # ---------------------------------------------------------------------------
 # Reidemeister moves
 
-def _reidemeister1(state, kind, sign=1):
-    """Kink on the outer top strand; ``kind`` is "bridge" or "loop".
+#: kind -> (ports, kind of the new column, letter, over for sign +1 and
+#: for -1).  The kink takes the outer top arc's first end on its first
+#: port, closes its own loop between the middle two and hands the arc's
+#: other end to the last, so the arc now ends at the first port.  A bridge
+#: pokes into the unbounded region, so its disc is a black region and the
+#: matrix gains a lone L; a loop dips into the upper deck and gains a
+#: lone l.
+_KINKS = {
+    "bridge": (("SW", "NE", "NW", "SE"), "internal", "L", ("/", "\\")),
+    "loop": (("NW", "SW", "SE", "NE"), "external", "l", ("\\", "/")),
+}
 
-    A bridge pokes into the unbounded region, so its disc is a black
-    region and the matrix gains a lone L; a loop dips into the upper deck
-    and gains a lone l.  Either way the letter's kink factor cancels the
-    writhe correction, which is the move's invariance in this calculus.
+
+def _reidemeister1(state, kind, sign):
+    """Kink of the given sign on the outer top strand (_KINKS).
+
+    Bridge or loop, the letter's kink factor cancels the writhe
+    correction, which is the move's invariance in this calculus.
     """
-    if kind not in ("bridge", "loop"):
-        raise ValueError("kink kind must be 'bridge' or 'loop'")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    m = state.diagram
-    a1, a2 = m.outer_top_arc
-    over = ("/" if sign > 0 else "\\") if kind == "bridge" else \
-           ("\\" if sign > 0 else "/")
-    label = _new_crossing(state, sign, over)
-
-    if kind == "bridge":
-        join(m.arcs, a1, (label, "SW"))
-        join(m.arcs, (label, "NE"), (label, "NW"))
-        join(m.arcs, (label, "SE"), a2)
-        m.outer_top_arc = (a1, (label, "SW"))
-        colkind, letter = "internal", "L"
-    else:
-        join(m.arcs, a1, (label, "NW"))
-        join(m.arcs, (label, "SW"), (label, "SE"))
-        join(m.arcs, (label, "NE"), a2)
-        m.outer_top_arc = (a1, (label, "NW"))
-        colkind, letter = "external", "l"
+    (p, q, p2, q2), colkind, letter, overs = _KINKS[kind]
+    label = _new_crossing(state, sign, overs[sign < 0])
+    d = state.diagram
+    a1, a2 = d.outer_top_arc
+    join(d.arcs, a1, (label, p))
+    join(d.arcs, (label, q), (label, p2))
+    join(d.arcs, (label, q2), a2)
+    d.outer_top_arc = (a1, (label, p))
 
     am = state.matrix
     am.rows.append(label)
@@ -232,38 +215,20 @@ def _reidemeister1(state, kind, sign=1):
     am.entries[(am.n - 1, nc)] = _entry(letter, sign < 0, 1)
 
 
-def _reidemeister2(state, placement):
+def _reidemeister2(state, how):
     """Oppositely-signed pair on the last edge, in series or in parallel.
 
     The first new crossing copies the last edge's sign, the second takes
     the opposite, so the pair always cancels.
     """
-    if placement not in _SPLICES:
-        raise ValueError("placement must be 'series' or 'parallel'")
-    s = _last_sign(state)
-    _splice(state, placement, s)
-    _splice(state, placement, -s)
+    _splice(state, how)
+    _splice(state, how, -_last_sign(state))
 
-
-def _on_a_copy(surgery):
-    """The move as a function: it grows a copy and returns it."""
-    @functools.wraps(surgery)
-    def move(state, *args, **kwargs):
-        out = state.copy()
-        surgery(out, *args, **kwargs)
-        return out
-    return move
-
-
-subdivide = _on_a_copy(_subdivide)
-double = _on_a_copy(_double)
-reidemeister1 = _on_a_copy(_reidemeister1)
-reidemeister2 = _on_a_copy(_reidemeister2)
 
 #: CLI spellings -> surgeries that grow a state in place
 MOVES = {
-    "subdivide": _subdivide,
-    "double": _double,
+    "subdivide": lambda st: _splice(st, "series"),
+    "double": lambda st: _splice(st, "parallel"),
     "r1:bridge": lambda st: _reidemeister1(st, "bridge", 1),
     "r1:bridge-": lambda st: _reidemeister1(st, "bridge", -1),
     "r1:loop": lambda st: _reidemeister1(st, "loop", 1),
@@ -274,22 +239,18 @@ MOVES = {
 
 
 def apply_moves(state, names):
-    """The state grown by the named moves, left to right.
+    """Grow the state by the named moves, left to right, in place, and
+    return it.
 
-    The chain grows one copy in place, so it costs one copy of the state
-    rather than one per move; with no moves the state itself comes back.
     An unknown name, or a move the state's shape refuses, raises
-    UsageError.
+    UsageError before that move changes anything.
     """
-    grown = state
     for name in names:
         if name not in MOVES:
             raise UsageError("unknown extension %r (choose from %s)"
                              % (name, ", ".join(sorted(MOVES))))
-        if grown is state:
-            grown = state.copy()
-        MOVES[name](grown)
-    return grown
+        MOVES[name](state)
+    return state
 
 
 # ---------------------------------------------------------------------------

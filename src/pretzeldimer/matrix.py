@@ -77,18 +77,16 @@ class ActivityMatrix:
 
     rows lists crossing labels in row order, columns the Column of each
     column, entries maps (row index, col index) -> Entry; row_weights maps
-    row index -> crossing sign when enhanced.
+    row index -> crossing sign, and is set exactly when enhanced.
     """
-    __slots__ = ("rows", "columns", "entries", "signed", "enhanced",
-                 "row_weights")
+    __slots__ = ("rows", "columns", "entries", "signed", "row_weights")
 
-    def __init__(self, rows, columns, entries, signed=False, enhanced=False,
+    def __init__(self, rows, columns, entries, signed=False,
                  row_weights=None):
         self.rows = rows
         self.columns = columns
         self.entries = entries
         self.signed = signed
-        self.enhanced = enhanced
         self.row_weights = row_weights
 
     def __eq__(self, other):
@@ -99,14 +97,18 @@ class ActivityMatrix:
     def n(self):
         return len(self.rows)
 
+    @property
+    def enhanced(self):
+        return self.row_weights is not None
+
     def copy(self):
         return ActivityMatrix(
             rows=list(self.rows),
             columns=list(self.columns),
             entries=dict(self.entries),
             signed=self.signed,
-            enhanced=self.enhanced,
-            row_weights=dict(self.row_weights) if self.row_weights else None,
+            row_weights=(None if self.row_weights is None
+                         else dict(self.row_weights)),
         )
 
     def by_region(self):
@@ -262,7 +264,6 @@ def enhance(m, diagram):
         raise Refusal("writhe weights need a knot, got a %d-component link"
                       % t.components)
     out = m.copy()
-    out.enhanced = True
     out.row_weights = {ri: t.signs[label] for ri, label in enumerate(out.rows)}
     return out
 

@@ -22,8 +22,8 @@ from pretzeldimer.evaluate import (JONES_TABLE, STENCILS,
                                    jones_in_A, khovanov_poincare,
                                    pipeline_matrix, scan_differentials,
                                    stencil_word_pairs)
-from pretzeldimer.extend import (initial_state, reidemeister1, reidemeister2,
-                                 state_bracket, state_jones_in_A, subdivide)
+from pretzeldimer.extend import (apply_moves, initial_state, state_bracket,
+                                 state_jones_in_A)
 from pretzeldimer.laurent import Laurent, Laurent2, writhe_factor
 from pretzeldimer.matrix import (build_block_matrix, build_graph_matrix,
                                  det_value, expand, perm_value,
@@ -196,14 +196,12 @@ def test_criterion_09():
     with criterion(9, budget=30):
         for spec in ((1, 1, 1), (1, 1, 3), (-2, 3, 3)):
             ref = jones_in_A(spec)
-            base = initial_state(spec)
-            for knd in ("bridge", "loop"):
-                assert state_jones_in_A(reidemeister1(base, knd)) == ref
-            for plc in ("series", "parallel"):
-                assert state_jones_in_A(reidemeister2(base, plc)) == ref
+            for name in ("r1:bridge", "r1:loop", "r2:series", "r2:parallel"):
+                grown = apply_moves(initial_state(spec), [name])
+                assert state_jones_in_A(grown) == ref
         rng = random.Random(2026)
         for spec in rng.sample(sweep_specs(), 10):
-            grown = subdivide(initial_state(spec))
+            grown = apply_moves(initial_state(spec), ["subdivide"])
             target = spec[:-1] + \
                 (spec[-1] + (1 if spec[-1] > 0 else -1),)
             fresh = build_block_matrix(target)

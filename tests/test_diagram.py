@@ -6,7 +6,6 @@ from tree_reference import reference_trace
 
 from pretzeldimer.diagram import (
     CORNERS,
-    Crossing,
     build_diagram,
     column_labels,
     parse_spec,
@@ -95,19 +94,12 @@ def test_crossing_signs_seed_invariant(spec):
         assert trace(d, seed=port).signs == baseline
 
 
-def test_copy_is_independent():
-    d = build_diagram((1, 1, 1))
-    c = d.copy()
-    c.crossings[1].sign = -1
-    c.arcs[(1, "NW")] = (2, "NW")
-    assert d.crossings[1].sign == 1
-    assert d.arcs[(1, "NW")] != (2, "NW")
-
-
-@pytest.mark.parametrize("over, sign", [("x", 1), ("/", 0)])
-def test_crossing_refuses_bad_over_or_sign(over, sign):
-    with pytest.raises(ValueError):
-        Crossing(1, over, sign)
+def test_crossings_are_immutable():
+    # no state is ever copied, so a crossing must not change under a holder
+    c = build_diagram((1, 1, -1)).crossings[3]
+    assert c == (3, "\\", -1) and (c.label, c.over, c.sign) == c
+    with pytest.raises(AttributeError):
+        c.sign = 1
 
 
 def test_outer_top_arc_flanks_the_deck():

@@ -7,18 +7,15 @@ from pretzeldimer.diagram import (MAX_CROSSINGS, Refusal, UsageError,
 from pretzeldimer.evaluate import bracket, jones_in_A, pipeline_matrix
 from pretzeldimer.extend import (
     MOVES,
+    _splice,
     apply_moves,
-    double,
     initial_state,
-    reidemeister1,
-    reidemeister2,
     state_bracket,
     state_jones,
     state_jones_in_A,
     state_jones_raw,
     state_khovanov_poincare,
     state_matrix,
-    subdivide,
 )
 from pretzeldimer.matrix import expand, pretty, to_json, word_multiset
 from pretzeldimer.oracle import state_sum_bracket
@@ -50,6 +47,16 @@ def sign_split_is_constant(m):
     return len({t.parity * t.ksign for t in expand(m)}) == 1
 
 
+def grown(spec, *names):
+    """A fresh state of P(spec) grown by the named moves."""
+    return apply_moves(initial_state(spec), names)
+
+
+def kink(kind, sign):
+    """The MOVES name of a kink of the given kind and sign."""
+    return "r1:%s%s" % (kind, "" if sign > 0 else "-")
+
+
 # ---------------------------------------------------------------------------
 # the starting bundle
 
@@ -61,41 +68,35 @@ def test_initial_state_matches_pipeline():
     assert st.diagram.outer_top_arc == ((1, "NW"), (8, "NE"))
 
 
-def test_state_copy_is_deep():
-    st = initial_state((1, 1, 1))
-    grown = subdivide(st)
-    assert st.n == 3 and grown.n == 4
-    assert 4 not in st.diagram.crossings
-
-
 # ---------------------------------------------------------------------------
 # series growth: subdividing the last edge
 
 @pytest.mark.parametrize("spec", [(1, 1, 1), (1, 1, 2), (-2, 3, 3),
                                   (2, 2), (-3, 2)])
 def test_subdivide_matches_fresh_build(spec):
-    grown = subdivide(initial_state(spec))
+    st = grown(spec, "subdivide")
     target = spec[:-1] + (spec[-1] + (1 if spec[-1] > 0 else -1),)
     fresh = pipeline_matrix(target, signed=False, enhanced=False)
-    assert word_multiset(grown.matrix) == word_multiset(fresh)
-    assert state_bracket(grown) == bracket(target)
+    assert word_multiset(st.matrix) == word_multiset(fresh)
+    assert state_bracket(st) == bracket(target)
 
 
 def test_subdivide_diagram_is_the_fresh_diagram():
-    assert_fresh_diagram(subdivide(initial_state((1, 1, 2))), (1, 1, 3))
+    assert_fresh_diagram(grown((1, 1, 2), "subdivide"), (1, 1, 3))
 
 
 def test_subdivide_jones_matches_grown_spec():
     # the base is a link, the grown spec a knot; only the result must trace
-    grown = subdivide(initial_state((-2, 3, 2)))
-    assert state_jones_in_A(grown) == jones_in_A((-2, 3, 3))
+    st = grown((-2, 3, 2), "subdivide")
+    assert state_jones_in_A(st) == jones_in_A((-2, 3, 3))
 
 
 def test_subdivide_opposite_sign_still_brackets():
     # a mixed column is not a standard pretzel; the state sum referees
-    grown = subdivide(initial_state((1, 1, 3)), sign=-1)
-    assert state_bracket(grown) == state_sum_bracket(grown.diagram)
-    assert sign_split_is_constant(grown.matrix)
+    st = initial_state((1, 1, 3))
+    _splice(st, "series", -1)
+    assert state_bracket(st) == state_sum_bracket(st.diagram)
+    assert sign_split_is_constant(st.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -105,25 +106,26 @@ def test_subdivide_opposite_sign_still_brackets():
                                          ((-1, -1), (-1, -1, -1)),
                                          ((2, -3, 1), (2, -3, 1, 1))])
 def test_double_single_column_is_fresh_append(spec, target):
-    grown = double(initial_state(spec))
+    st = grown(spec, "double")
     fresh = pipeline_matrix(target, signed=False, enhanced=False)
     # letter-for-letter, in the same column order
-    assert token_grid(grown.matrix) == token_grid(fresh)
-    assert_fresh_diagram(grown, target)
-    assert state_bracket(grown) == bracket(target)
+    assert token_grid(st.matrix) == token_grid(fresh)
+    assert_fresh_diagram(st, target)
+    assert state_bracket(st) == bracket(target)
 
 
 def test_double_longer_column():
-    grown = double(initial_state((1, 1, 3)))
-    assert state_bracket(grown) == state_sum_bracket(grown.diagram)
-    assert sign_split_is_constant(grown.matrix)
+    st = grown((1, 1, 3), "double")
+    assert state_bracket(st) == state_sum_bracket(st.diagram)
+    assert sign_split_is_constant(st.matrix)
 
 
 def test_double_explicit_sign():
-    grown = double(initial_state((1, 1, 1)), sign=-1)
-    assert token_grid(grown.matrix) == token_grid(
+    st = initial_state((1, 1, 1))
+    _splice(st, "parallel", -1)
+    assert token_grid(st.matrix) == token_grid(
         pipeline_matrix((1, 1, 1, -1), signed=False, enhanced=False))
-    assert state_bracket(grown) == bracket((1, 1, 1, -1))
+    assert state_bracket(st) == bracket((1, 1, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +135,7 @@ def test_double_explicit_sign():
 @pytest.mark.parametrize("kind", ["bridge", "loop"])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_r1_jones_invariant(spec, kind, sign):
-    st = reidemeister1(initial_state(spec), kind, sign)
+    st = grown(spec, kink(kind, sign))
     assert state_jones_in_A(st) == jones_in_A(spec)
     assert state_bracket(st) == state_sum_bracket(st.diagram)
 
@@ -145,14 +147,14 @@ def test_r1_jones_invariant(spec, kind, sign):
 def test_r1_writhe_delta(kind, sign, delta):
     base = initial_state((1, 1, 3))
     w0 = trace(base.diagram).writhe
-    st = reidemeister1(base, kind, sign)
+    st = apply_moves(base, [kink(kind, sign)])
     assert trace(st.diagram).writhe == w0 + delta
 
 
 def test_r1_adds_single_letter_row():
-    st = reidemeister1(initial_state((1, 1, 1)), "bridge", -1)
+    st = grown((1, 1, 1), "r1:bridge-")
     assert row_tokens(st.matrix, st.n - 1) == ["L~"]
-    st = reidemeister1(initial_state((1, 1, 1)), "loop", 1)
+    st = grown((1, 1, 1), "r1:loop")
     assert row_tokens(st.matrix, st.n - 1) == ["l"]
     assert st.matrix.columns[-1].kind == "external"
 
@@ -174,7 +176,7 @@ def test_r1_keeps_outer_arc_usable():
 
 def test_r1_bracket_on_links():
     # no Jones for a two-component link, but the bracket must still agree
-    st = reidemeister1(initial_state((2, 2)), "bridge", 1)
+    st = grown((2, 2), "r1:bridge")
     assert state_bracket(st) == state_sum_bracket(st.diagram)
     with pytest.raises(ValueError):
         state_jones(st)
@@ -186,7 +188,7 @@ def test_r1_bracket_on_links():
 @pytest.mark.parametrize("spec", KNOTS + [(3, -2)])
 @pytest.mark.parametrize("placement", ["series", "parallel"])
 def test_r2_jones_invariant(spec, placement):
-    st = reidemeister2(initial_state(spec), placement)
+    st = grown(spec, "r2:" + placement)
     assert st.n == len(build_diagram(spec).crossings) + 2
     assert state_jones_in_A(st) == jones_in_A(spec)
     assert state_bracket(st) == state_sum_bracket(st.diagram)
@@ -194,14 +196,14 @@ def test_r2_jones_invariant(spec, placement):
 
 
 def test_r2_pair_signs_cancel():
-    st = reidemeister2(initial_state((1, 1, 3)), "series")
+    st = grown((1, 1, 3), "r2:series")
     signs = [st.diagram.crossings[l].sign for l in st.matrix.rows[-2:]]
     assert sorted(signs) == [-1, 1]
     assert trace(st.diagram).writhe == trace(build_diagram((1, 1, 3))).writhe
 
 
 def test_r2_on_link_bracket_level():
-    st = reidemeister2(initial_state((2, 2)), "parallel")
+    st = grown((2, 2), "r2:parallel")
     assert state_bracket(st) == state_sum_bracket(st.diagram)
     assert state_bracket(st) == bracket((2, 2))
 
@@ -262,15 +264,11 @@ def test_usage_errors_and_refusals_are_their_own_value_errors():
 
 def test_edge_extensions_need_a_twist_top():
     # one-column pretzels end in a (D, L) row, kinks in a lone letter
-    with pytest.raises(ValueError, match="twist top"):
-        subdivide(initial_state((3,)))
-    with pytest.raises(ValueError, match="twist top"):
-        double(initial_state((3,)))
-    kinked = reidemeister1(initial_state((1, 1, 3)), "loop", 1)
-    with pytest.raises(ValueError, match="twist top"):
-        subdivide(kinked)
-    with pytest.raises(ValueError, match="twist top"):
-        reidemeister2(kinked, "parallel")
+    for name in ("subdivide", "double", "r2:series", "r2:parallel"):
+        with pytest.raises(ValueError, match="twist top"):
+            grown((3,), name)
+        with pytest.raises(ValueError, match="twist top"):
+            grown((1, 1, 3), "r1:loop", name)
 
 
 class ProbeCounter(dict):
@@ -302,21 +300,40 @@ def test_a_long_subdivide_chain_probes_each_row_a_few_times():
 
 
 def test_edge_extension_refusal_names_the_row():
-    kinked = reidemeister1(initial_state((1, 1, 3)), "loop", 1)
     with pytest.raises(ValueError, match=r"row 6 has \['l'\]$"):
-        subdivide(kinked)
+        grown((1, 1, 3), "r1:loop", "subdivide")
     with pytest.raises(ValueError, match=r"row 3 has \['D', 'L'\]$"):
-        subdivide(initial_state((3,)))
+        grown((3,), "subdivide")
 
 
-def test_bad_move_arguments():
-    st = initial_state((1, 1, 1))
-    with pytest.raises(ValueError):
-        reidemeister1(st, "twist")
-    with pytest.raises(ValueError):
-        reidemeister1(st, "bridge", 0)
-    with pytest.raises(ValueError):
-        reidemeister2(st, "sideways")
+def snapshot(st):
+    """Everything a move may change, entry order and arc order included."""
+    m, d = st
+    return (list(m.rows), list(m.columns), list(m.entries.items()),
+            list(d.arcs.items()), list(d.crossings.items()), d.outer_top_arc)
+
+
+def test_apply_moves_grows_the_state_it_is_given():
+    st = initial_state((1, 1, 3))
+    assert apply_moves(st, []) is st
+    assert apply_moves(st, ["subdivide", "r2:parallel", "r1:loop"]) is st
+    assert st.n == 9
+    assert state_jones_in_A(st) == jones_in_A((1, 1, 4))
+
+
+@pytest.mark.parametrize("spec,before,name", [
+    ((3,), [], "subdivide"), ((3,), [], "double"),
+    ((3,), [], "r2:series"), ((1, 1, 3), ["r1:bridge"], "r2:parallel"),
+    ((1, 1, 3), ["double", "r1:loop-"], "subdivide"),
+    ((1, 1, 3), ["subdivide"], "r3"),
+], ids=["P(3) subdivide", "P(3) double", "P(3) r2", "after a bridge",
+        "after a loop", "unknown name"])
+def test_a_refused_move_changes_nothing(spec, before, name):
+    st = grown(spec, *before)
+    was = snapshot(st)
+    with pytest.raises(UsageError):
+        apply_moves(st, [name])
+    assert snapshot(st) == was
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@
   block walk's faces with an independent construction.
 * The writhe factor has one production site, the Jones route of a state,
   besides the spanning-tree oracle's own.
-* Every top-level function and class in src/ has a reader: src/ itself,
-  the package exports, the benchmark harness, or a named reference.
+* Every top-level function, class and module-level assignment in src/
+  has a reader: src/ itself, the package exports, the benchmark harness,
+  or a named reference.
 * The two Laurent rings share one body: neither defines an operation
   other than its product, which each keeps for the tracer to patch.
 * ``main`` alone decides exit codes 2 and 3: no command function in
@@ -247,18 +248,36 @@ REFERENCE = {
 }
 
 
+def _top_level_names(tree):
+    """Names a module binds at top level: its functions and classes, and
+    the targets of its assignments, dunders such as __all__ excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) \
+                            and not name.id.startswith("__"):
+                        yield name.id
+
+
 def test_every_top_level_definition_has_a_reader():
-    """Matches by name: a reference is an ast Name, Attribute or import
-    alias anywhere in src/, so a method or local of the same name counts,
-    and a definition only ever read by tests must be in REFERENCE."""
+    """Matches by name: a reference is an ast Name or Attribute read (load
+    context) or an import alias anywhere in src/, so a method or local of
+    the same name counts, and a definition or module-level assignment
+    only ever read by tests must be in REFERENCE."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in (ROOT / "src" / "pretzeldimer").glob("*.py")}
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
@@ -267,11 +286,9 @@ def test_every_top_level_definition_has_a_reader():
              for _, name in funcs}
     read |= {name for _, name in _golden_imports()}
     unread = sorted(
-        "%s.%s" % (module, node.name)
-        for module, tree in trees.items() for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef))
-        and node.name not in read and node.name not in REFERENCE)
+        "%s.%s" % (module, name)
+        for module, tree in trees.items() for name in _top_level_names(tree)
+        if name not in read and name not in REFERENCE)
     assert not unread, unread
 
 
