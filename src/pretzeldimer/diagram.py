@@ -124,14 +124,20 @@ def join(arcs, p, q):
     arcs[q] = p
 
 
-def build_diagram(spec):
-    """Standard diagram of P(n1, ..., nk)."""
-    spec = tuple(spec)
+def check_spec(spec):
+    """Raise ValueError unless spec has an entry and each is a nonzero
+    int: the specs build_diagram can draw."""
     if not spec:
         raise ValueError("empty pretzel spec")
     for v in spec:
         if not isinstance(v, int) or v == 0:
             raise ValueError("pretzel entries must be nonzero integers")
+
+
+def build_diagram(spec):
+    """Standard diagram of P(n1, ..., nk)."""
+    spec = tuple(spec)
+    check_spec(spec)
     columns = column_labels(map(abs, spec))
 
     crossings = {}

@@ -3,13 +3,18 @@ moves that grow them, and every invariant of a state.
 
 ``initial_state(spec)`` is the only place a pretzel spec becomes a matrix
 and a diagram; the spec functions in ``evaluate`` and every CLI command
-start from it.  Each invariant is one function of a state: the bracket,
-the Jones polynomial (its knot check, the unit check at A = 1 and the
-V(1) = 1 sign normalisation live in ``state_jones_raw`` and
-``normalized``; the writhe factor is applied there and nowhere else), the
-Poincare polynomial and the matrix views ``matrix`` prints.  Each
-invariant is one determinant whose global sign is read off its own value
-(``normalized``, ``signed_bracket``, ``signed_poincare``).
+start from it.  The matrix is built at once and the diagram on first
+read: only the writhe, the knot checks, the moves, ``enhance`` and
+``verify`` read the port wiring, so ``jones --bracket`` on a spec and
+``matrix`` without ``--enhanced`` never build it.
+
+Each invariant is one function of a state: the bracket, the Jones
+polynomial (its knot check, the unit check at A = 1 and the V(1) = 1 sign
+normalisation live in ``state_jones_raw`` and ``normalized``; the writhe
+factor is applied there and nowhere else), the Poincare polynomial and
+the matrix views ``matrix`` prints.  Each invariant is one determinant
+whose global sign is read off its own value (``normalized``,
+``signed_bracket``, ``signed_poincare``).
 
 Each move splices one crossing into the diagram **and** appends the
 matching row/column to the activity matrix, so invariants of the larger
@@ -43,30 +48,49 @@ D in an internal column plus one d in an external column.  A one-column
 pretzel or a freshly added kink does not qualify and is rejected before
 any surgery happens.
 """
-from collections import namedtuple
 from itertools import takewhile
 
 from .activities import split_token, token
-from .diagram import Crossing, Refusal, UsageError, build_diagram, join, trace
+from .diagram import (Crossing, Refusal, UsageError, build_diagram,
+                      check_spec, join, trace)
 from .laurent import writhe_factor
 from .matrix import (ENTRIES, JONES_TABLE, KHOVANOV_TABLE, Column, det_value,
                      enhance, signed_block_matrix, unsign)
 
 
-class GrownState(namedtuple("GrownState", "matrix diagram")):
-    """A signed (unenhanced) activity matrix plus its live diagram."""
-    __slots__ = ()
+class GrownState:
+    """A signed (unenhanced) activity matrix plus its live diagram.
+
+    The diagram of the spec the state started from is built the first
+    time anything reads ``diagram``.  Every move reads it before it grows
+    the matrix, so the two never fall out of step.
+    """
+    __slots__ = ("matrix", "_spec", "_diagram")
+
+    def __init__(self, matrix, spec):
+        self.matrix = matrix
+        self._spec = spec
+        self._diagram = None
 
     @property
     def n(self):
         return self.matrix.n
 
+    @property
+    def diagram(self):
+        if self._diagram is None:
+            self._diagram = build_diagram(self._spec)
+        return self._diagram
+
 
 def initial_state(spec):
-    """Signed matrix and diagram of P(spec), ready to grow; the matrix
-    comes from one walk, with no overlay (matrix.signed_block_matrix)."""
+    """The state of P(spec), ready to grow: its signed matrix from one
+    walk, with no overlay (matrix.signed_block_matrix), and its diagram
+    on first read.  A spec build_diagram refuses raises its ValueError
+    here, before anything is built."""
     spec = tuple(spec)
-    return GrownState(signed_block_matrix(spec), build_diagram(spec))
+    check_spec(spec)
+    return GrownState(signed_block_matrix(spec), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -139,11 +139,11 @@ def signed_block_matrix(spec):
     also lists the overlay's bounded faces off the layout (the set that
     build_overlay reads off the corner table by its local rule) as quads
     of edge keys row * n + column, which sort as the (row, column) pairs
-    do, for kasteleyn_negatives; no overlay is built.  The solver's tree
-    follows the sorted keys, and the sort is load-bearing: it gives exactly
-    solve_kasteleyn's signs on every spec tests/test_matrix.py sweeps,
-    while taking the edges in face order changes the signs on 3 840 of the
-    4 112 desk specs.
+    do, for kasteleyn_negatives; no overlay is built.  Each quad lists its
+    keys in ascending order, as the solver requires: its tree follows that
+    order, and so gives exactly solve_kasteleyn's signs on every spec
+    tests/test_matrix.py sweeps, while taking the edges in face order
+    changes the signs on 3 840 of the 4 112 desk specs.
     """
     spec = tuple(spec)
     k = len(spec)
@@ -167,8 +167,8 @@ def signed_block_matrix(spec):
         # each bigon's west and east arcs bound one quad with the strip
         # beside it, where there is one
         for s in (bot + i for i in (d, ci) if 0 < i < k):
-            faces += [(r * n + r - d, (r + 1) * n + r - d, (r + 1) * n + s,
-                       r * n + s) for r in rows]
+            faces += [(r * n + r - d, r * n + s, (r + 1) * n + r - d,
+                       (r + 1) * n + s) for r in rows]
     bots = [starts[1] - 1] + starts[1:-1]     # column 1 runs top-down
     columns.append(Column("internal", BOT))
     entries.update(((b, bot), letters[i]["D" if i else "L"])
@@ -184,7 +184,7 @@ def signed_block_matrix(spec):
         for r in range(mid, high):
             entries[r, c] = east
         x, y = bots[i - 1] * n, bots[i] * n         # the bottom band
-        faces.append((x + bot, y + bot, y + c, x + c))
+        faces.append((x + bot, x + c, y + bot, y + c))
     assert len(columns) == n
     for key in kasteleyn_negatives(faces):
         key = divmod(key, n)
@@ -356,7 +356,8 @@ def _all_terms(m):
             return iter([c for c in cands[ri] if not used[c[0]]])
         return iter([c for c in cands[ri] if c[0] == forced])
 
-    pick = [None] * n                 # the candidate taken by each row
+    cols = [0] * n                    # the column taken by each row
+    word = [None] * n                 # and its token
     todo = [None] * n                 # each open row's untried candidates
     taken = [0] * n                   # bitmask of the columns rows above took
     flips = [0] * n                   # flip bits of the rows above
@@ -369,10 +370,10 @@ def _all_terms(m):
             if ri == 0:
                 break
             ri -= 1
-            used[pick[ri][0]] = False
+            used[cols[ri]] = False
             continue
-        pick[ri] = choice
-        ci, _, negative, bit = choice
+        ci, word[ri], negative, bit = choice
+        cols[ri] = ci
         mask = taken[ri]
         flip = flips[ri] ^ negative ^ ((mask >> ci).bit_count() & 1)
         if ri + 1 < n:
@@ -382,8 +383,7 @@ def _all_terms(m):
             flips[ri] = flip
             todo[ri] = options(ri)
             continue
-        cols, word, _, _ = zip(*pick)
-        terms.append(Term(cols, word, *_SIGNS[flip]))
+        terms.append(Term(tuple(cols), tuple(word), *_SIGNS[flip]))
     return terms
 
 
@@ -399,8 +399,9 @@ def expand(m):
     if m.n == 0:
         return []
     terms = _all_terms(m)
-    dups = [w for w, c in Counter(t.word for t in terms).items() if c > 1]
-    if dups:
+    words = [t.word for t in terms]
+    if len(set(words)) < len(terms):
+        dups = [w for w, c in Counter(words).items() if c > 1]
         raise ValueError("duplicate expansion words: %r" % (dups[:3],))
     return terms
 

@@ -185,16 +185,20 @@ def build_overlay(spec):
 
 
 def kasteleyn_negatives(faces):
-    """The face edges (any sortable keys) a Kasteleyn signing makes negative.
+    """The face edges a Kasteleyn signing makes negative, given each face's
+    edges in ascending order.
 
     Each edge lies on one or two of the faces; the rest of the plane is the
     unbounded face.  Every edge not chosen as a link of a breadth-first
     spanning tree of the face-adjacency graph, rooted at the unbounded face
-    and crossing each face's edges in sorted order, gets +1; then each
+    and crossing each face's edges in ascending order, gets +1; then each
     bounded face is solved leaf-to-root for its single remaining unknown so
     that the face parity rule holds (a face of length l needs an odd number
-    of negative edges iff l = 0 mod 4).  Only the keys' order matters, so
-    an order-preserving re-keying maps the set likewise; integer keys, as
+    of negative edges iff l = 0 mod 4).  Sorting each face is the
+    caller's part (signed_block_matrix writes its quads ascending,
+    solve_kasteleyn sorts the overlay's faces); only the unbounded face's
+    edges are sorted here.  Only the keys' order matters, so an
+    order-preserving re-keying maps the set likewise; integer keys, as
     signed_block_matrix passes, sort and hash fastest.
     """
     # an edge's first face, and its second for the edges two faces share
@@ -210,9 +214,9 @@ def kasteleyn_negatives(faces):
     link, up = [None] * root + [-1], [root] * (root + 1)
     order = [root]
     for node in order:                   # the list grows as the BFS queue
-        edges = faces[node] if node < root else (
+        edges = faces[node] if node < root else sorted(
             e for e in first if e not in second)
-        for e in sorted(edges):
+        for e in edges:
             nxt = first[e]
             if nxt == node:
                 nxt = second.get(e, root)
@@ -234,8 +238,9 @@ def kasteleyn_negatives(faces):
 
 
 def solve_kasteleyn(overlay):
-    """kasteleyn_negatives on the overlay's faces, as signs of its edges."""
-    negative = kasteleyn_negatives(overlay.faces)
+    """kasteleyn_negatives on the overlay's faces, each sorted once, as
+    signs of its edges."""
+    negative = kasteleyn_negatives([sorted(f) for f in overlay.faces])
     return {e: -1 if e in negative else 1 for e in overlay.edges}
 
 

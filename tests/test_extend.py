@@ -308,7 +308,7 @@ def test_edge_extension_refusal_names_the_row():
 
 def snapshot(st):
     """Everything a move may change, entry order and arc order included."""
-    m, d = st
+    m, d = st.matrix, st.diagram
     return (list(m.rows), list(m.columns), list(m.entries.items()),
             list(d.arcs.items()), list(d.crossings.items()), d.outer_top_arc)
 

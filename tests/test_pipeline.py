@@ -8,7 +8,8 @@
   the corner table, the overlay, the Kasteleyn signs and the matrix, how
   often they trace the diagram, and how often they eliminate.  The state
   itself builds no overlay: one walk gives the letters and the faces, and
-  one face solve the signs.
+  one face solve the signs.  It builds its diagram on first read, so
+  ``jones --bracket`` and ``matrix`` without ``--enhanced`` build none.
 * ``verify`` checks the Kasteleyn signs of the matrix it evaluates.
 * ``build_overlay`` reads its regions and faces off the corner table: it
   builds no layout region itself, so verify's face check compares the
@@ -37,6 +38,8 @@ import pytest
 
 from pretzeldimer import cli
 from pretzeldimer.cli import main
+from pretzeldimer.diagram import build_diagram
+from pretzeldimer.extend import initial_state
 from pretzeldimer.laurent import Laurent, Laurent2, _Ring
 from pretzeldimer.matrix import Entry
 from pretzeldimer.taitgraphs import build_overlay
@@ -207,6 +210,33 @@ def test_commands_build_one_diagram(monkeypatch, argv):
     assert counts["build_overlay"] == 0
     assert counts["solve_kasteleyn"] == 0
     assert counts["kasteleyn_negatives"] == 1
+
+
+@pytest.mark.parametrize("argv", [["jones", "--bracket", "P(-2,3,7)"],
+                                  ["jones", "--bracket", "P(2,2)"],
+                                  ["matrix", "P(-2,3,7)"],
+                                  ["matrix", "P(-2,3,7)", "--signed",
+                                   "--json"]])
+def test_commands_that_never_read_the_diagram_build_none(monkeypatch, argv):
+    # the state builds its diagram on first read, and these commands
+    # read only the matrix
+    code, counts = count_calls(monkeypatch, argv)
+    assert code == 0
+    assert counts["build_diagram"] == 0
+    assert counts["trace"] == 0
+    assert counts["signed_block_matrix"] == 1
+    assert counts["kasteleyn_negatives"] == 1
+
+
+@pytest.mark.parametrize("spec", [(), (0,), (1, 0), (1.5,)])
+def test_initial_state_refuses_what_build_diagram_refuses(spec):
+    # the diagram is built late, so the spec is checked up front, with
+    # build_diagram's own message
+    with pytest.raises(ValueError) as drawn:
+        build_diagram(spec)
+    with pytest.raises(ValueError) as refused:
+        initial_state(spec)
+    assert str(refused.value) == str(drawn.value)
 
 
 def _callers(name):

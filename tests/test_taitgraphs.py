@@ -177,10 +177,13 @@ def test_parity_survives_edge_deletion():
 def test_solver_commutes_with_order_preserving_keys(monkeypatch):
     # the walk's integer keys row * n + column, re-keyed three ways that
     # keep their order: the (row, column) pairs, shifted integers and
-    # zero-padded strings
+    # zero-padded strings; the walk hands over every quad in ascending
+    # order, as the solver requires
     calls = []
 
     def recorded(faces):
+        for f in faces:
+            assert list(f) == sorted(f), f
         negative = kasteleyn_negatives(faces)
         calls.append((faces, negative))
         return negative
@@ -194,6 +197,17 @@ def test_solver_commutes_with_order_preserving_keys(monkeypatch):
                     lambda e: "%09d" % e):
             mapped = [[key(e) for e in f] for f in faces]
             assert kasteleyn_negatives(mapped) == set(map(key, negative))
+
+
+def test_solve_kasteleyn_ignores_the_order_of_each_faces_edges():
+    # solve_kasteleyn sorts each overlay face itself, so shuffling the
+    # edges inside every face changes no sign
+    rng = random.Random(2828)
+    for spec in rng.sample(desk_sweep(), 300):
+        ov = build_overlay(spec)
+        want = solve_kasteleyn(ov)
+        faces = [rng.sample(f, len(f)) for f in ov.faces]
+        assert solve_kasteleyn(ov._replace(faces=faces)) == want, spec
 
 
 def test_dot_exports():
