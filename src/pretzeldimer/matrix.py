@@ -30,14 +30,17 @@ the pivot row in place, and each LetterTable keeps its lowered values.
 The stencil pair counts (evaluate.stencil_pair_counts) eliminate over Z
 in this column order too.  expand and perm_value enumerate every
 term; they serve word-level questions and are the slow route elimination
-is checked against.  The enumeration cuts the branches a column's last
-candidate row rules out and carries each term's permutation and Kasteleyn
-signs down the search, one popcount of the taken columns per step, so on
-pretzel matrices it costs about terms x n, but the number of terms grows
-exponentially with the number of twist columns.  word_sum is the one sum
-of table values over a list of words, for perm_value, verify's permanent
-check and the spanning-tree oracle alike: every table value is a
-monomial, so it adds exponents and multiplies coefficients as plain
+is checked against.  The enumeration is a dynamic program over (row,
+taken columns) states: a forward pass keeps the states whose free columns
+the later rows can still fill, and a backward pass builds each state's
+completions once, level by level, so every prefix that reaches a state
+shares its completions.  Each completion carries its permutation and
+Kasteleyn flip bits, one popcount of the free columns per row.  On a long
+column this costs far less than terms x n steps, but the number of terms
+grows exponentially with the number of twist columns.  word_sum is the
+one sum of table values over a list of words, for perm_value, verify's
+permanent check and the spanning-tree oracle alike: every table value is
+a monomial, so it adds exponents and multiplies coefficients as plain
 integers.
 
 The row order matters: clean activity words come from the standard
@@ -52,7 +55,7 @@ import math
 from collections import Counter, namedtuple
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .activities import split_token, token
 from .diagram import Refusal, trace
@@ -311,79 +314,94 @@ def _require_square(m):
                          % (m.n, len(m.columns)))
 
 
-def _all_terms(m):
-    """Depth-first over the rows, candidate columns in ascending order.
+#: rows a completion copies before it links to the completion below them
+_STRETCH = 32
 
-    Dead branches are cut without changing the order of the terms: once
-    row ri has passed, no later row can take a column whose last candidate
-    row is ri.  In a square matrix every term uses every column, so such a
-    column, if still free, must be taken at row ri, and two of them mean
-    the branch holds no term at all.  The search keeps its own stack, one
-    iterator of open choices per row, so its depth is not bounded by
-    Python's recursion limit.
 
-    The signs are carried down the search, not read off each finished
-    term: every row keeps the bitmask of the columns the rows above it
-    took and the flip bits of their partial term (see _SIGNS).  Row ri
-    taking column c adds one inversion per taken column above c, so the
-    permutation's parity flips when that popcount is odd, and a -1 entry
-    flips the Kasteleyn sign.
+def _completions(m):
+    """The expansion's dynamic program, one level per row, bottom up.
+
+    A state at level ri is the bitmask of the columns rows 0..ri-1 took.
+    The forward pass keeps, top down, only the states whose free columns
+    the later rows can still fill: each free column has a candidate row at
+    or below ri (the forced-column cut in general form).  The backward
+    pass then yields, for ri = n-1 down to 0, the dict that maps each
+    state the forward pass kept at level ri to its completions, the ways
+    rows ri..n-1 can take its free columns (none when they cannot after
+    all), in the search's order: ascending candidate column first, then
+    the completions below it.  A level is built once from the one below,
+    whose dict is then freed, so every prefix reaching a state shares that
+    state's completions.  Level 0 holds at most the empty state, and its
+    completions are the terms.
+
+    A completion is (columns, tokens, flip bits, rest): the columns and
+    tokens of rows ri..r-1, where r is the first multiple of _STRETCH
+    above ri (or n), and rest the completion of rows r..n-1 (None at
+    r = n).  Copying every completion whole at every level would cost the
+    cube of n on a long column; P(-2,3,401) keeps 88 641 completions for
+    2 011 terms.
+
+    The flip bits (see _SIGNS) are those of the whole completion: row ri
+    taking column c makes one inversion with each free column below c,
+    since the later rows take exactly the free columns other than c, and
+    a -1 entry flips the Kasteleyn sign.
     """
     n = m.n
-    _require_square(m)
+    full = (1 << n) - 1
     cands = _row_candidates(m)
-    ending = [[] for _ in range(n)]   # row -> columns it is the last row of
-    last = {}
-    for ri, row in enumerate(cands):
-        for c in row:
-            last[c[0]] = ri
-    for ci, ri in last.items():
-        ending[ri].append(ci)
-    # the taken columns as a list too: options tests every candidate, and
-    # a list index costs less than a bit test on an int of n bits
-    used = [False] * n
+    need, later = [0] * n, 0          # row -> columns no later row has
+    for ri in range(n - 1, -1, -1):
+        need[ri] = full & ~later
+        later |= sum(bit for _, _, _, bit in cands[ri])
+    levels = [{0}]
+    for row, fill in zip(cands, need):
+        levels.append({s | bit for s in levels[-1] for _, _, _, bit in row
+                       if not s & bit and (s | bit) & fill == fill})
+    below = {full: [((), (), 0, None)]} if full in levels[n] else {}
+    for ri in range(n - 1, -1, -1):
+        # link to the level below when its rows open a stretch
+        cut = (ri + 1) % _STRETCH == 0 and ri + 1 < n
+        here = {}
+        for s in levels[ri]:
+            free = full ^ s
+            out = []
+            for ci, tok, negative, bit in cands[ri]:
+                tails = None if s & bit else below.get(s | bit)
+                if tails:
+                    flip = negative ^ ((free & (bit - 1)).bit_count() & 1)
+                    head, letter = (ci,), (tok,)
+                    if cut:
+                        out += [(head, letter, flip ^ t[2], t) for t in tails]
+                    else:
+                        out += [(head + cols, letter + word, flip ^ f, rest)
+                                for cols, word, f, rest in tails]
+            here[s] = out
+        below = here
+        yield here
+
+
+def _all_terms(m):
+    """Every nonzero permutation term, from _completions' level 0.
+
+    The terms come in the order a depth-first search over the rows would
+    find them, candidate columns in ascending order: ascending by cols.
+    The program keeps no recursion and no stack, so its depth is not
+    bounded by Python's recursion limit.
+    """
+    _require_square(m)
+    top = {}
+    for top in _completions(m):
+        pass
     terms = []
-
-    def options(ri):
-        """Candidates row ri may take, given the columns rows above took."""
-        forced = None
-        for ci in ending[ri]:
-            if not used[ci]:
-                if forced is not None:
-                    return iter(())
-                forced = ci
-        if forced is None:
-            return iter([c for c in cands[ri] if not used[c[0]]])
-        return iter([c for c in cands[ri] if c[0] == forced])
-
-    cols = [0] * n                    # the column taken by each row
-    word = [None] * n                 # and its token
-    todo = [None] * n                 # each open row's untried candidates
-    taken = [0] * n                   # bitmask of the columns rows above took
-    flips = [0] * n                   # flip bits of the rows above
-    todo[0] = options(0)
-    ri = 0
-    while True:
-        for choice in todo[ri]:
-            break
-        else:                         # row exhausted: back up one row
-            if ri == 0:
-                break
-            ri -= 1
-            used[cols[ri]] = False
-            continue
-        ci, word[ri], negative, bit = choice
-        cols[ri] = ci
-        mask = taken[ri]
-        flip = flips[ri] ^ negative ^ ((mask >> ci).bit_count() & 1)
-        if ri + 1 < n:
-            used[ci] = True
-            ri += 1
-            taken[ri] = mask | bit
-            flips[ri] = flip
-            todo[ri] = options(ri)
-            continue
-        terms.append(Term(tuple(cols), tuple(word), *_SIGNS[flip]))
+    for cols, word, flip, rest in top.get(0, ()):
+        if rest is not None:          # join the stretches below
+            cols, word = [cols], [word]
+            while rest is not None:
+                cols.append(rest[0])
+                word.append(rest[1])
+                rest = rest[3]
+            cols, word = tuple(chain(*cols)), tuple(chain(*word))
+        terms.append(Term(cols, word, *_SIGNS[flip]))
     return terms
 
 
@@ -391,10 +409,11 @@ def expand(m):
     """All nonzero permutation terms, in deterministic row-major order.
 
     Rows are processed top to bottom, candidate columns in ascending index
-    order; branches a forced column rules out are cut, which on pretzel
-    matrices leaves about terms x n steps.  The matrix must be square, and
-    two terms with one word raise ValueError.  The slow route (see the
-    module docstring); the invariants come from det_value.
+    order, by the dynamic program of _completions: its cost is set by the
+    completions it keeps, which a suffix shared by many terms is counted
+    in once.  The matrix must be square, and two terms with one word raise
+    ValueError.  The slow route (see the module docstring); the invariants
+    come from det_value.
     """
     if m.n == 0:
         return []

@@ -8,7 +8,8 @@ Two routes, each independent of what it checks:
   frontier scan takes the diagram crossing by crossing and keeps one
   tally per grouping of the open arcs, so its cost is polynomial in n on
   pretzel diagrams.  Its six weights A^+-1 delta^loops are built once per
-  process, and a grouping's successor renames at most two groups;
+  process, a grouping's successor renames at most two groups, and each
+  tally times weight is added straight into the successor's tally;
 * the tree expansion enumerates the spanning trees of the signed Tait
   graph and adds up the Table-1 weights of their activity words, so it
   checks the activity matrix, its expansion and its determinant without
@@ -53,15 +54,15 @@ _SMOOTHINGS = {
 @functools.cache
 def _weights():
     """delta = -A^2 - A^-2, and weight[kind][loops] = A^(+-1) * delta^loops
-    as raw coefficient dicts, kind 0 = A, 1 = B; the two pairings of one
-    crossing close at most two groups."""
+    as (exponent, coefficient) pairs, kind 0 = A, 1 = B; the two pairings
+    of one crossing close at most two groups."""
     delta = {2: -1, -2: -1}
     weight = []
     for shift in (1, -1):
         row = [{shift: 1}]
         for _ in range(2):
             row.append(_mul(row[-1], delta))
-        weight.append(row)
+        weight.append([tuple(w.items()) for w in row])
     return Laurent(delta), weight
 
 
@@ -81,9 +82,11 @@ def state_sum_bracket(diagram):
     numbers; an arc whose ports are all processed retires, and a group
     that loses its last arc closes one loop.  The empty grouping is all
     that is left at the end, and its tally divided once by delta is the
-    bracket.  The tallies are raw coefficient dicts, multiplied by
-    laurent._mul and added in place, and the weights are built once per
-    process; one polynomial is made at the end.
+    bracket.  The tallies are raw coefficient dicts and the weights
+    (exponent, coefficient) pairs built once per process: each term of a
+    tally times each term of its weight is added straight into the
+    successor grouping's tally, with no product dict and no rename dict
+    per product, and one polynomial is made at the end.
     """
     labels = sorted(diagram.crossings)
     step_of = {label: i for i, label in enumerate(labels)}
@@ -118,22 +121,24 @@ def state_sum_bracket(diagram):
             kept = [group[i] for i in keep]
             for (x, y, u, v), w in moves:
                 # join y's group to x's, then v's to u's; then gx and gu
-                # are the ports' groups, and get renames the joined ones
+                # are the ports' groups, and gy, gv are renamed to them
                 gx, gy, gu, gv = group[x], group[y], group[u], group[v]
                 gu = gx if gu == gy else gu
                 gv = gx if gv == gy else gv
                 if gv == gx:
                     gx = gu
-                get = {gy: gx, gv: gu}.get
                 number = {}
-                grouping = tuple([number.setdefault(get(g, g), len(number))
-                                  for g in kept])
+                grouping = tuple([number.setdefault(
+                    gu if g == gv else gx if g == gy else g, len(number))
+                    for g in kept])
                 loops = (gx not in number) + (gu != gx and gu not in number)
-                term = _mul(tally, w[loops])
-                total = scanned.setdefault(grouping, term)
-                if total is not term:
-                    for e, c in term.items():
-                        c += total.get(e, 0)
+                total = scanned.get(grouping)
+                if total is None:
+                    total = scanned[grouping] = {}
+                for f, d in w[loops]:
+                    for e, c in tally.items():
+                        e += f
+                        c = total.get(e, 0) + c * d
                         if c:
                             total[e] = c
                         else:

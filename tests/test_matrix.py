@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from paper_tables import desk_sweep
@@ -453,44 +454,56 @@ def test_expansion_matches_reference_on_odd_matrices():
     assert {t.parity for t in matrix._all_terms(duplicates)} == {1, -1}
 
 
-def expansion_calls(m):
-    """(terms, nodes of the expansion's search tree) for one expand.
-
-    The search opens each row it reaches with one call of its ``options``
-    step; the leaves are the terms.
-    """
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        code = frame.f_code
-        if event == "call" and code.co_name == "options" \
-                and code.co_filename.endswith("matrix.py"):
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        terms = expand(m)
-    finally:
-        sys.setprofile(None)
-    return len(terms), calls + len(terms)
+def expansion_work(m):
+    """(terms, states, completions) of one expand: the states the
+    expansion's forward pass keeps and the completions its backward pass
+    builds for them, over all levels."""
+    states = completions = 0
+    for level in matrix._completions(m):
+        states += len(level)
+        completions += sum(map(len, level.values()))
+    return len(expand(m)), states, completions
 
 
 @pytest.mark.parametrize("spec", [(-2, 3, 41), (-2, 5, 21), (3, -3, 3, 3),
                                   (-4, 4, -3, 1), (5,), (2, 2)])
 def test_expansion_explores_no_dead_branches(spec):
-    # with the forced-column cut the search takes at most n + 1 steps per
-    # term on pretzel matrices, about half that on long columns; without
-    # it P(-2,3,41) took 64 000 steps for 211 terms
+    # a level keeps at most one completion per term, so the work stays
+    # within n + 1 per term; on P(-2,3,41) the forward pass keeps 1 091
+    # states without its cut, and the depth-first search this replaced
+    # took 4 790 steps with its forced-column cut and 64 000 without it
     for m in (build_block_matrix(spec), pipeline_matrix(spec, enhanced=False)):
-        terms, calls = expansion_calls(m)
+        terms, states, completions = expansion_work(m)
         assert terms > 0
-        assert m.n < calls <= terms * (m.n + 1), (spec, terms, calls)
+        assert states <= completions, (spec, states, completions)
+        assert m.n <= completions <= terms * (m.n + 1), (spec, terms,
+                                                         completions)
+        if spec == (-2, 3, 41):
+            assert (terms, states, completions) == (211, 97, 1701)
+
+
+#: bytes expand may allocate at its peak on P(-2,3,101); the depth-first
+#: search took 1.0 MB, the dynamic program 1.35 MB, and the same program
+#: keeping every level's completions alive to the end 4.5 MB
+PEAK_BYTES_EXPAND_101 = 3 * 10 ** 6
+
+
+def test_expansion_frees_each_level_it_has_read():
+    m = build_block_matrix((-2, 3, 101))
+    tracemalloc.start()
+    try:
+        terms = expand(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 3 * 101 + 2 * 101 + 2 * 3
+    assert peak < PEAK_BYTES_EXPAND_101
 
 
 def test_expansion_carries_its_signs_down_the_search(monkeypatch):
-    # each term's parity comes from one popcount per search step; only
-    # the elimination kernel reads a parity off a whole permutation
+    # each term's parity comes from one popcount per state and candidate
+    # column; only the elimination kernel reads a parity off a whole
+    # permutation
     calls = []
 
     def counted(cols, _parity=matrix._parity):

@@ -271,6 +271,16 @@ def test_one_site_applies_the_writhe_factor():
                                          ("oracle", "tree_expansion_jones")}
 
 
+@pytest.mark.parametrize("name", ["expand", "state_sum_bracket",
+                                  "tree_words"])
+def test_only_verify_runs_the_slow_routes(name):
+    # jones and khovanov never expand every term, sum the states or list
+    # the trees, so speeding those routes up moves verify alone
+    handlers = {owner for module, owner in _callers(name)
+                if module == "cli" and owner.startswith("cmd_")}
+    assert handlers == {"cmd_verify"}
+
+
 #: top-level names kept for the tests alone, each with its reason
 REFERENCE = {
     "matching_to_tree": "the matching -> tree bijection the activity "
