@@ -1,4 +1,4 @@
-"""Spanning-tree activities and perfect matchings.
+"""Spanning-tree activities: the letters of each tree's edges.
 
 For a spanning tree S of the signed Tait graph, each edge gets one of four
 activity letters in the Tutte sense, decided by edge order:
@@ -127,32 +127,3 @@ def tree_words(g, ranks=None):
     results.sort()
     return results
 
-
-# ---------------------------------------------------------------------------
-# perfect matchings of the balanced overlay
-
-def matching_to_tree(g, overlay, matching):
-    """Tree of G corresponding to a matching: the black-matched crossings.
-
-    Raises if the edge set is not a spanning tree (it always is; the check
-    guards the bijection).
-    """
-    tree = tuple(c for c, r in zip(overlay.crossings, matching)
-                 if r in overlay.set2)
-    if len(tree) != len(g.vertices) - 1:
-        raise ValueError("matched black set has wrong size for a tree")
-    comp = {v: v for v in g.vertices}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for e in tree:
-        u, v = g.endpoints(e)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise ValueError("matched black set contains a cycle")
-        comp[ru] = rv
-    return tree

@@ -10,13 +10,14 @@ Four subcommands tie the pipeline together:
   and differential-stencil report.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or parse
-error (including a spec of more than diagram.MAX_CROSSINGS crossings), 3
-domain refusal (a link where a knot is required), 141 standard output
-closed by its reader, as by ``| head`` (128 + SIGPIPE, what a shell
-reports for a tool cut off that way).  A command returns 0 or 1; codes 2
-and 3 are raised as diagram.UsageError and diagram.Refusal and mapped to
-their codes once, in main.  Any other exception is a fault and propagates
-with its traceback.
+error (including a spec, or a spec grown by its --extend chain, of more
+than diagram.MAX_CROSSINGS crossings; a chain is counted before any state
+is built), 3 domain refusal (a link where a knot is required), 141
+standard output closed by its reader, as by ``| head`` (128 + SIGPIPE,
+what a shell reports for a tool cut off that way).  A command returns 0
+or 1; codes 2 and 3 are raised as diagram.UsageError and diagram.Refusal
+and mapped to their codes once, in main.  Any other exception is a fault
+and propagates with its traceback.
 
 ``--extend`` grows the object before evaluation and may be repeated; moves
 apply left to right.
@@ -40,7 +41,7 @@ import sys
 import types
 
 from .activities import tree_words
-from .diagram import Refusal, UsageError, parse_spec, trace
+from .diagram import Refusal, UsageError, check_size, parse_spec, trace
 from .evaluate import scan_differentials, state_invariants, stencil_pair_counts
 from .extend import (MOVES, apply_moves, initial_state, normalized,
                      state_bracket, state_jones_raw, state_khovanov_poincare,
@@ -57,11 +58,20 @@ def _spec_label(spec):
     return "P(%s)" % ",".join(str(v) for v in spec)
 
 
+def _grown_state(spec, moves):
+    """The state of P(spec) grown by the --extend moves.  An r2 move adds
+    two crossings and every other move one, so a chain that would pass
+    diagram.MAX_CROSSINGS is refused before any state is built."""
+    check_size(sum(map(abs, spec))
+               + sum(2 if name.startswith("r2:") else 1 for name in moves))
+    return apply_moves(initial_state(spec), moves)
+
+
 # ---------------------------------------------------------------------------
 # jones
 
 def cmd_jones(spec, args):
-    st = apply_moves(initial_state(spec), args.extend)
+    st = _grown_state(spec, args.extend)
     if args.bracket:
         val = state_bracket(st)
         if args.json:
@@ -104,7 +114,7 @@ def cmd_matrix(spec, args):
             print(overlay_to_dot(ov, signs))
         return 0
 
-    st = apply_moves(initial_state(spec), args.extend)
+    st = _grown_state(spec, args.extend)
     m = state_matrix(st, args.signed, args.enhanced)
     if args.json:
         print(dump_json(m))

@@ -65,9 +65,6 @@ class Diagram:
     def n(self):
         return len(self.crossings)
 
-    def ports(self):
-        return [(label, c) for label in sorted(self.crossings) for c in CORNERS]
-
     def arc_list(self):
         """Each arc once, as a sorted pair of ports: arcs is an involution
         with no fixed port, so every arc appears as exactly one p < q."""
@@ -96,9 +93,15 @@ def parse_spec(text):
         if v == 0:
             raise UsageError("pretzel entries must be nonzero")
         out.append(v)
-    if sum(map(abs, out)) > MAX_CROSSINGS:
-        raise UsageError("more than %d crossings" % MAX_CROSSINGS)
+    check_size(sum(map(abs, out)))
     return tuple(out)
+
+
+def check_size(crossings):
+    """Raise UsageError if a diagram of that many crossings is too large:
+    more than MAX_CROSSINGS."""
+    if crossings > MAX_CROSSINGS:
+        raise UsageError("more than %d crossings" % MAX_CROSSINGS)
 
 
 def column_labels(sizes):

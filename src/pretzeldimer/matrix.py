@@ -25,16 +25,17 @@ a stale row with one exact division, so the desk sweep, P(3^k) and
 P(-2,3,n) take no polynomial division, and it drops each pivot row and
 divisor once nothing reads it.  On the matrices the commands see most of
 a step's cost is bookkeeping, not products, so the kernel keeps each
-row's coefficient count as the row changes, adds a one-term multiple of
-the pivot row in place, and each LetterTable keeps its lowered values.
-The stencil pair counts (evaluate.stencil_pair_counts) eliminate over Z
-in this column order too.  expand and perm_value enumerate every
-term; they serve word-level questions and are the slow route elimination
-is checked against.  The enumeration is a dynamic program over (row,
-taken columns) states: a forward pass keeps the states whose free columns
-the later rows can still fill, and a backward pass builds each state's
-completions once, level by level, so every prefix that reaches a state
-shares its completions.  Each completion carries its permutation and
+row's coefficient count as the row changes, adds every multiple of the
+pivot row in place, term by term of its multiplier, and each LetterTable
+keeps its lowered values.  The stencil pair counts
+(evaluate.stencil_pair_counts) eliminate over Z in this column order
+too.  expand and perm_value enumerate every term; they serve word-level
+questions and are the slow route elimination is checked against.  The
+enumeration is a dynamic program over (row, taken columns) states: a
+forward pass keeps the states whose free columns the later rows can
+still fill, and a backward pass builds each state's completions once,
+level by level, so every prefix that reaches a state shares its
+completions.  Each completion carries its permutation and
 Kasteleyn flip bits, one popcount of the free columns per row.  On a long
 column this costs far less than terms x n steps, but the number of terms
 grows exponentially with the number of twist columns.  word_sum is the
@@ -65,7 +66,8 @@ from .taitgraphs import BOT, bigon, kasteleyn_negatives, region_name, strip
 
 class Entry(namedtuple("Entry", "tok sign", defaults=(1,))):
     """One matrix entry: an activity letter with optional bar mark, e.g.
-    "D~", and its Kasteleyn sign (only honoured when matrix.signed)."""
+    "D~", and its Kasteleyn sign, which det_value reads on every entry
+    (an unsigned matrix holds only +1)."""
     __slots__ = ()
 
 
@@ -434,8 +436,8 @@ def word_multiset(m):
 
 class LetterTable(dict):
     """Activity letter -> polynomial, fixed once made.  It keeps what
-    det_value lowers it to, by matrix size and signedness (_entry_values),
-    so a table is lowered once, not at every determinant."""
+    det_value lowers it to, by matrix size (_entry_values), so a table is
+    lowered once, not at every determinant."""
     __slots__ = ("lowered",)
 
     def __init__(self, values):
@@ -540,10 +542,12 @@ def _eliminate(rows, n):
     Around those products a step does as little as it can.  Each row's
     coefficient count, the pivot rule's fourth key, is kept up to date as
     the row changes, not recounted for every candidate at every step.
-    When the multiplier (a, or a / u) is one term m A^k, as in every bigon
-    step of a pretzel column over Table 1 or 2, P's entries are shifted by
-    k, scaled by m and added into R in place, with no product dict.  Every
-    other product goes through _mul and every division through _div.
+    The multiple of P is added into R in place, one term m A^k of the
+    multiplier (-a, or -a / u) at a time: P's entries are shifted by k,
+    scaled by m and added into R's, creating an entry R lacks and dropping
+    one that cancels, with no product dict.  So _mul only rescales R by a
+    pivot that is not a unit and brings a stale P up to date, and every
+    division goes through _div.
     """
     holders = [set() for _ in range(n)]   # column -> unpivoted rows in it
     for r, row in enumerate(rows):
@@ -598,10 +602,9 @@ def _eliminate(rows, n):
             if p is not _ONE:
                 for j, x in row.items():
                     row[j] = _mul(x, p)
-            if len(a) == 1:
-                # the multiplier -a, divided by any unit pivot, is one
-                # term m A^k: shift and scale P's entries into R
-                (k, m), = a.items()
+            for k, m in a.items():
+                # each term m A^k of the multiplier -a / u shifts P's
+                # entries by k, scales them by m and adds them into R
                 k -= pe
                 m *= -pc
                 for j, y in prow.items():
@@ -615,27 +618,6 @@ def _eliminate(rows, n):
                     for e, c in y.items():
                         e += k
                         v = t.get(e, 0) + c * m
-                        if v:
-                            t[e] = v
-                        else:
-                            del t[e]
-                    if t:
-                        s += len(t)
-                    else:
-                        del row[j]
-                        holders[j].discard(r)
-            else:
-                a = {e - pe: -c * pc for e, c in a.items()}
-                for j, y in prow.items():
-                    t = row.get(j)
-                    if t is None:
-                        t = row[j] = _mul(a, y)
-                        holders[j].add(r)
-                        s += len(t)
-                        continue
-                    s -= len(t)
-                    for e, c in _mul(a, y).items():
-                        v = t.get(e, 0) + c
                         if v:
                             t[e] = v
                         else:
@@ -696,25 +678,26 @@ def _lower(table, n):
     return flat, decode
 
 
-def _entry_values(table, n, signed):
+def _entry_values(table, n):
     """The raw dict of each (letter, Kasteleyn sign) of a table for n x n
-    matrices, the sign applied when signed, and the decoder (_lower).  A
-    LetterTable keeps them, at most 64 sizes, and a plain dict lowers
-    again at every call."""
+    matrices, the sign applied to its coefficients, and the decoder
+    (_lower).  A LetterTable keeps them, one lowering per size and at most
+    64 sizes; a plain dict lowers again at every call."""
     kept = getattr(table, "lowered", {})
-    hit = kept.get((n, signed))
+    hit = kept.get(n)
     if hit is None:
         coeffs, decode = _lower(table, n)
-        raw = {(tok, s): {e: c * s for e, c in val.items()} if signed
-               else val for tok, val in coeffs.items() for s in (1, -1)}
+        raw = {(tok, s): {e: c * s for e, c in val.items()}
+               for tok, val in coeffs.items() for s in (1, -1)}
         if len(kept) >= 64:
             kept.clear()
-        hit = kept[n, signed] = raw, decode
+        hit = kept[n] = raw, decode
     return hit
 
 
 def det_value(m, table):
-    """Determinant of the matrix (signed if m.signed) over a letter table.
+    """Determinant of the matrix over a letter table, each entry's own
+    Kasteleyn sign applied (an unsigned matrix holds only +1).
 
     Computed by elimination (``_eliminate``), never by term expansion, on
     the raw coefficient dicts of the table values: each entry copies the
@@ -730,7 +713,7 @@ def det_value(m, table):
     """
     _require_square(m)
     n = m.n
-    raw, decode = _entry_values(table, n, m.signed)
+    raw, decode = _entry_values(table, n)
     rows = [{} for _ in range(n)]
     for (ri, ci), e in m.entries.items():
         rows[ri][ci] = raw[e].copy()

@@ -7,11 +7,10 @@ from paper_tables import (classify_parallel, classify_series, column_segments,
                           desk_sweep, perfect_matchings, word_str)
 
 from tree_reference import (activity_word, fundamental_sets,
-                            reference_spanning_trees, reference_word,
-                            spanning_trees)
+                            matching_to_tree, reference_spanning_trees,
+                            reference_word, spanning_trees)
 
-from pretzeldimer.activities import (matching_to_tree, split_token, token,
-                                     tree_words)
+from pretzeldimer.activities import split_token, token, tree_words
 from pretzeldimer.taitgraphs import (BOT, TaitEdge, TaitGraph, build_overlay,
                                      build_tait, dual_graph, strip)
 

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import pretzeldimer
-from pretzeldimer import cli
+from pretzeldimer import cli, diagram
 from pretzeldimer.cli import main
 from pretzeldimer.diagram import MAX_CROSSINGS
 from pretzeldimer.extend import MOVES
@@ -105,6 +105,39 @@ def test_huge_entries_exit_2(capsys, command):
         assert code == 2 and err.startswith("error:")
         assert "more than %d crossings" % MAX_CROSSINGS in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, crossings", [
+    (("jones", "P(5,6)"), 11),
+    (("jones", "P(-5,4,1)", "--extend", "r2:series", "--extend",
+      "r2:parallel"), 14),
+    (("matrix", "P(-2,3,4)", "--extend", "subdivide", "--extend",
+      "double"), 11),
+    (("jones", "P(-2,3,1)", "--extend", "r2:series", "--extend",
+      "r2:parallel", "--extend", "r1:loop"), 11),
+    (("jones", "P(-2,3,1)", "--extend", "r2:series", "--extend",
+      "r2:parallel"), 10),
+    (("matrix", "P(-2,3,4)", "--extend", "double"), 10),
+])
+def test_extend_chains_past_the_limit_exit_2(capsys, monkeypatch, argv,
+                                             crossings):
+    # a chain counts two crossings per r2 move and one per other move on
+    # top of its spec, and one past the limit is refused like such a spec,
+    # before any state is built; the limit is patched down so that no
+    # test builds a state of a million crossings
+    monkeypatch.setattr(diagram, "MAX_CROSSINGS", 10)
+    built = []
+    real = cli.initial_state
+    monkeypatch.setattr(cli, "initial_state",
+                        lambda spec: built.append(spec) or real(spec))
+    code, out, err = run(capsys, *argv)
+    if crossings > 10:
+        assert (code, out, built) == (2, "", [])
+        assert err == "error: more than 10 crossings\n"
+    else:
+        assert (code, err) == (0, "") and len(built) == 1
+        st = cli.apply_moves(real(built[0]), argv[3::2])
+        assert st.n == crossings
 
 
 def test_bare_leading_negative_spec(capsys):

@@ -15,10 +15,11 @@ eliminate with no polynomial division; and elimination must free its
 pivot rows and divisors as it goes.  The elimination kernel is also held
 to a Leibniz sum on seeded matrices whose entries are not units, and on
 matrices whose pivots are units and whose updates cancel entries, which
-drive the in-place one-term update; the pivots it takes are pinned to
-those it took when it recounted every candidate row.  The stencil pair
-counts, which are determinants of minors, are held to the word pairs the
-expansion lists and to one elimination per minor
+drive its in-place update with multipliers of one term and of more.  The
+products it makes on columns of threes are pinned, and the pivots it
+takes are pinned to those it took when it recounted every candidate row.
+The stencil pair counts, which are determinants of minors, are held to
+the word pairs the expansion lists and to one elimination per minor
 (tree_reference.reference_pair_counts).
 """
 import contextlib
@@ -163,9 +164,12 @@ def test_det_value_exact_on_columns_of_three(k):
     check_exact(initial_state((3,) * k))
 
 
-#: polynomial products the kernel made on P(3^k) when it rescaled every
-#: candidate row before pivoting; it also made 28, 113 and 193 divisions
-PRODUCTS_BEFORE = {8: 72, 25: 259, 41: 435}
+#: polynomial products the kernel makes on P(3^k) over either table, every
+#: one a row rescaled by a pivot that is not a unit.  Rescaling every
+#: candidate row before pivoting made 72, 259 and 435 products and 28, 113
+#: and 193 divisions; taking each multiplier of more than one term through
+#: a product dict made 19, 70 and 118 products.
+PRODUCTS = {8: 13, 25: 47, 41: 79}
 
 
 def count_kernel_calls(monkeypatch):
@@ -185,14 +189,14 @@ TABLES = pytest.mark.parametrize("table", [JONES_TABLE, KHOVANOV_TABLE],
 
 
 @TABLES
-@pytest.mark.parametrize("k", sorted(PRODUCTS_BEFORE))
+@pytest.mark.parametrize("k", sorted(PRODUCTS))
 def test_columns_of_three_eliminate_without_division(monkeypatch, k, table):
     # a row is divided only when its own step's divisor is not 1, and on
     # P(3^k) every row is updated over the divisor 1
     calls = count_kernel_calls(monkeypatch)
     det_value(initial_state((3,) * k).matrix, table)
     assert calls["_div"] == 0
-    assert calls["_mul"] <= PRODUCTS_BEFORE[k]
+    assert calls["_mul"] == PRODUCTS[k]
 
 
 @TABLES
@@ -473,8 +477,14 @@ def test_elimination_matches_leibniz_on_unit_pivots(monkeypatch, pool,
     ring = type(pool[0])
     rng = random.Random(8080)
     calls = count_kernel_calls(monkeypatch)
+    orders = []
+    real = matrix._parity
+    monkeypatch.setattr(matrix, "_parity",
+                        lambda order: orders.append(tuple(order))
+                        or real(order))
     zeros = 0
-    cases = [regain_matrix(ring)] + \
+    regain = regain_matrix(ring)
+    cases = [regain] + \
         [unit_pivot_matrix(rng, pool, units) for _ in range(150)]
     for rows in cases:
         n = len(rows)
@@ -483,7 +493,12 @@ def test_elimination_matches_leibniz_on_unit_pivots(monkeypatch, pool,
         assert det_value(m, table) == want, rows
         zeros += not want
     assert calls["_div"] == 0         # every step pivoted on a unit
-    assert calls["_mul"] > 0          # multipliers that are not monomials
+    # regain_matrix's first step takes column 0 on its unit edge, row 0,
+    # so the last row adds -(1 + x) times that edge: a multiplier that is
+    # not a monomial
+    cols, pivots = orders[:2]
+    assert (cols[0], pivots[0]) == (0, 0)
+    assert len(regain[-1][0].coeffs) == 2
     assert zeros > 10
     assert time.perf_counter() - t0 < KERNEL_BUDGET_S
 

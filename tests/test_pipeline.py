@@ -16,6 +16,9 @@
   block walk's faces with an independent construction.
 * The writhe factor has one production site, the Jones route of a state,
   besides the spanning-tree oracle's own.
+* The elimination kernel has one update rule: its only products rescale a
+  row by a pivot that is not a unit and bring a stale pivot row up to
+  date, so every multiple of the pivot row is added by its in-place loop.
 * Every top-level function, class and module-level assignment in src/
   has a reader: src/ itself, the package exports, the benchmark harness,
   or a named reference.
@@ -271,6 +274,17 @@ def test_one_site_applies_the_writhe_factor():
                                          ("oracle", "tree_expansion_jones")}
 
 
+def test_elimination_adds_every_multiplier_in_place():
+    # a product dict for the multiplier would be a second update path
+    tree = ast.parse((ROOT / "src" / "pretzeldimer" / "matrix.py").read_text())
+    kernel, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "_eliminate")
+    products = sorted(ast.unparse(node) for node in ast.walk(kernel)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "_mul")
+    assert products == ["_mul(x, cur)", "_mul(x, p)"]   # stale P, rescale R
+
+
 @pytest.mark.parametrize("name", ["expand", "state_sum_bracket",
                                   "tree_words"])
 def test_only_verify_runs_the_slow_routes(name):
@@ -281,11 +295,9 @@ def test_only_verify_runs_the_slow_routes(name):
     assert handlers == {"cmd_verify"}
 
 
-#: top-level names kept for the tests alone, each with its reason
-REFERENCE = {
-    "matching_to_tree": "the matching -> tree bijection the activity "
-                        "matrix rests on, checked on every perfect matching",
-}
+#: top-level names kept for the tests alone, each with its reason; code
+#: only the tests read belongs in tests/tree_reference.py instead
+REFERENCE = {}
 
 
 def _top_level_names(tree):

@@ -1,5 +1,6 @@
 """The slow routes that activities.tree_words,
-evaluate.stencil_pair_counts and diagram.trace are held to.
+evaluate.stencil_pair_counts and diagram.trace are held to, and the
+matching -> tree bijection the activity matrix rests on.
 
 The program reads every tree and word off one deletion-contraction search;
 these routes get them another way, for the tests alone:
@@ -9,6 +10,8 @@ these routes get them another way, for the tests alone:
   sorted) is the order tree_words lists them in;
 * reference_spanning_trees: the same search copying the component map per
   included edge;
+* matching_to_tree: the tree of a perfect matching of the balanced
+  overlay, its black-matched crossings, checked to be a spanning tree;
 * activity_word: one tree's word by cut/cycle duality, rooting the tree
   and walking each non-tree edge up to its lowest common ancestor;
 * fundamental_sets and reference_word: the word from the definition, one
@@ -16,9 +19,9 @@ these routes get them another way, for the tests alone:
 * reference_pair_counts: each stencil's word-pair count as |det| of its
   own minor, one elimination per report;
 * reference_trace: orientation, crossing signs and writhe by walking the
-  strands with a set of every unvisited port, the next component starting
-  at its minimum, and each crossing's sign as the cross product of its two
-  strands' heading vectors.
+  strands with a set of every unvisited port (ports lists them), the next
+  component starting at its minimum, and each crossing's sign as the
+  cross product of its two strands' heading vectors.
 """
 from collections import namedtuple
 
@@ -109,6 +112,33 @@ def reference_spanning_trees(g):
 
     rec(0, {v: v for v in g.vertices}, len(g.vertices), [])
     return results
+
+
+def matching_to_tree(g, overlay, matching):
+    """Tree of G corresponding to a matching: the black-matched crossings.
+
+    Raises if the edge set is not a spanning tree (it always is; the check
+    guards the bijection).
+    """
+    tree = tuple(c for c, r in zip(overlay.crossings, matching)
+                 if r in overlay.set2)
+    if len(tree) != len(g.vertices) - 1:
+        raise ValueError("matched black set has wrong size for a tree")
+    comp = {v: v for v in g.vertices}
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    for e in tree:
+        u, v = g.endpoints(e)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise ValueError("matched black set contains a cycle")
+        comp[ru] = rv
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +351,20 @@ _PASS = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
 _COORD = {"NW": (-1, 1), "NE": (1, 1), "SW": (-1, -1), "SE": (1, -1)}
 
 
+def ports(diagram):
+    """Every port of the diagram, (label, corner), by label and then in
+    CORNERS order."""
+    return [(label, c) for label in sorted(diagram.crossings)
+            for c in CORNERS]
+
+
 def reference_trace(diagram, seed=None):
     """diagram.trace by coordinates: the same seed rules and errors.
 
     The first component is seeded entering crossing 1 at its NW port (or
     at seed); later components start at the lowest-numbered unvisited port.
     """
-    unvisited = set(diagram.ports())
+    unvisited = set(ports(diagram))
     passages = {}   # label -> {diagonal: direction vector}
     components = 0
     while unvisited:
